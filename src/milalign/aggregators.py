@@ -1,11 +1,13 @@
-"""Permutation-invariant aggregators over score sets and feature bags.
+"""Permutation-invariant aggregators over score sets, and the specs of
+the global feature poolers.
 
 Local aggregators reduce the per-region scores of one sentence to a
 scalar. Global aggregators pool a bag of region features into a single
-vector, optionally conditioned on the sentence being scored. Sentence
-aggregators reduce per-sentence scores to the document score. Every
-aggregator treats its inputs as an unordered set: reordering the inputs
-reorders nothing but the floating-point reassociation.
+vector, optionally conditioned on the sentence being scored; their specs
+live here and the batched pooling in `scoring.pairwise_score_tables`.
+Sentence aggregators reduce per-sentence scores to the document score.
+Every aggregator treats its inputs as an unordered set: reordering the
+inputs reorders nothing but the floating-point reassociation.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import autodiff as ad
+from . import jsonio
 from .autodiff import ContractError, Var, as_var
 
 LOCAL_KINDS = ("Max", "Sum", "Avg", "LSE", "NOR", "NAND")
@@ -101,27 +104,32 @@ def spec_to_dict(spec) -> dict | None:
     return d
 
 
-def local_spec_from_dict(d: dict | None) -> LocalAggregatorSpec | None:
+def local_spec_from_dict(d: dict | None,
+                         path: str = "local_agg") -> LocalAggregatorSpec | None:
     if d is None:
         return None
     return LocalAggregatorSpec(
-        kind=d["kind"],
+        kind=jsonio.require(d, "kind", path),
         gamma=d.get("gamma"),
         nand_slope=d.get("nand_slope", 10.0),
         nand_offset=d.get("nand_offset", 0.5),
     )
 
 
-def global_spec_from_dict(d: dict | None) -> GlobalAggregatorSpec | None:
+def global_spec_from_dict(d: dict | None,
+                          path: str = "global_agg") -> GlobalAggregatorSpec | None:
     if d is None:
         return None
-    return GlobalAggregatorSpec(kind=d["kind"], gamma=d.get("gamma"))
+    return GlobalAggregatorSpec(kind=jsonio.require(d, "kind", path),
+                                gamma=d.get("gamma"))
 
 
-def sentence_spec_from_dict(d: dict | None) -> SentenceAggregatorSpec:
+def sentence_spec_from_dict(d: dict | None,
+                            path: str = "sentence_agg") -> SentenceAggregatorSpec:
     if d is None:
         return SentenceAggregatorSpec(kind="Avg")
-    return SentenceAggregatorSpec(kind=d["kind"], gamma=d.get("gamma"))
+    return SentenceAggregatorSpec(kind=jsonio.require(d, "kind", path),
+                                  gamma=d.get("gamma"))
 
 
 def bind_global_spec(spec: GlobalAggregatorSpec, sim_map=None, att_proj=None,
@@ -159,89 +167,15 @@ def _local_core(spec: LocalAggregatorSpec, scores: Var, axis: int) -> Var:
 
 
 def aggregate_local_axis(spec: LocalAggregatorSpec, scores, axis: int) -> Var:
-    """Vectorized local aggregation along one axis of a score array."""
+    """Reduce region scores in [-1, 1] along one axis of a score array."""
     if spec.kind not in LOCAL_KINDS:
         raise ContractError(f"unknown local aggregator kind: {spec.kind!r}")
-    return _local_core(spec, as_var(scores), axis)
-
-
-def aggregate_local(spec: LocalAggregatorSpec, scores) -> Var:
-    """Reduce a non-empty vector of region scores in [-1, 1] to a scalar."""
     v = as_var(scores)
-    if v.value.ndim != 1 or v.value.size == 0:
-        raise ContractError("aggregate_local expects a non-empty score vector")
+    if v.value.shape[axis] == 0:
+        raise ContractError("local aggregation needs at least one region score")
     if v.value.min() < -1.0 - _SCORE_SLACK or v.value.max() > 1.0 + _SCORE_SLACK:
-        raise ContractError("aggregate_local scores must lie in [-1, 1]")
-    return aggregate_local_axis(spec, v, axis=0)
-
-
-def aggregate_global(spec: GlobalAggregatorSpec, regions, condition=None,
-                     region_scores=None) -> Var:
-    """Pool a (N, D) bag of region features into one (D,) vector.
-
-    Avg and Att ignore the sentence entirely. NL attends around the
-    highest-scoring region (the argmax is frozen: no gradient flows
-    through the selection, only through the selected features). CA
-    weights regions by the softmax of their cosine scores against the
-    conditioning sentence.
-    """
-    r = as_var(regions)
-    if r.value.ndim != 2 or r.value.shape[0] == 0:
-        raise ContractError("aggregate_global expects a non-empty (N, D) feature bag")
-    n, dim = r.value.shape
-
-    if spec.kind == "Avg":
-        return ad.vmean(r, axis=0)
-
-    if spec.kind == "Att":
-        if spec.att_proj is None or spec.att_vec is None:
-            raise ContractError("Att aggregator requires att_proj and att_vec")
-        proj = as_var(spec.att_proj)
-        vec = as_var(spec.att_vec)
-        if proj.value.ndim != 2 or proj.value.shape[1] != dim:
-            raise ContractError("att_proj must be (H, D) for D-dim regions")
-        if vec.value.ndim != 1 or vec.value.shape[0] != proj.value.shape[0]:
-            raise ContractError("att_vec length must match att_proj rows")
-        logits = ad.matmul(ad.tanh(ad.matmul(r, ad.transpose(proj))), vec)
-        weights = ad.softmax(logits, 1.0, axis=0)
-        return ad.matmul(weights, r)
-
-    if spec.kind == "NL":
-        if spec.sim_map is None:
-            raise ContractError("NL aggregator requires the learned sim_map matrix")
-        if region_scores is None:
-            raise ContractError("NL aggregator requires region_scores to pick "
-                                "the critical region")
-        if spec.gamma is None:
-            raise ContractError("NL aggregator requires gamma")
-        amat = as_var(spec.sim_map)
-        if amat.value.ndim != 2 or amat.value.shape[1] != dim:
-            raise ContractError("sim_map columns must match the region dimension")
-        sv = as_var(region_scores)
-        if sv.value.ndim != 1 or sv.value.shape[0] != n:
-            raise ContractError("region_scores must have one score per region")
-        k = int(np.argmax(sv.value))  # first maximal index; selection is frozen
-        mapped = ad.matmul(r, ad.transpose(amat))
-        sims = ad.matmul(mapped, mapped[k])
-        weights = ad.softmax(sims, spec.gamma, axis=0)
-        return ad.matmul(weights, r)
-
-    if spec.kind == "CA":
-        if condition is None:
-            raise ContractError("CA aggregator requires the conditioning sentence")
-        cond = as_var(condition)
-        if cond.value.ndim != 1 or cond.value.shape[0] != dim:
-            raise ContractError("conditioning sentence dimension mismatch")
-        # attention logits are the cosine region scores, so rescaling the
-        # sentence leaves the pooled feature unchanged
-        from .numeric import NORM_EPS, unit_rows
-
-        cn = ad.div(cond, ad.clip_min(ad.l2norm(cond), NORM_EPS))
-        logits = ad.clamp(ad.matmul(unit_rows(r), cn), -1.0, 1.0)
-        weights = ad.softmax(logits, 1.0, axis=0)
-        return ad.matmul(weights, r)
-
-    raise ContractError(f"unknown global aggregator kind: {spec.kind!r}")
+        raise ContractError("local aggregator scores must lie in [-1, 1]")
+    return _local_core(spec, v, axis)
 
 
 def _sentence_core(spec: SentenceAggregatorSpec, scores: Var, axis: int) -> Var:
@@ -265,11 +199,3 @@ def aggregate_sentences_axis(spec: SentenceAggregatorSpec, scores, axis: int) ->
     if spec.kind not in SENTENCE_KINDS:
         raise ContractError(f"unknown sentence aggregator kind: {spec.kind!r}")
     return _sentence_core(spec, as_var(scores), axis)
-
-
-def aggregate_sentences(spec: SentenceAggregatorSpec, scores) -> Var:
-    """Reduce a non-empty vector of per-sentence scores to a scalar."""
-    v = as_var(scores)
-    if v.value.ndim != 1 or v.value.size == 0:
-        raise ContractError("aggregate_sentences expects a non-empty score vector")
-    return aggregate_sentences_axis(spec, v, axis=0)

@@ -218,8 +218,18 @@ def cmd_ablate(args) -> int:
     seeds = _parse_seeds(args.seeds) if args.seeds else \
         list(config.ablation.seeds)
     base = config.train
+    epochs_key = "train.epochs"
     if config.ablation.epochs is not None:
         base = dataclasses.replace(base, epochs=config.ablation.epochs)
+        epochs_key = "ablation.epochs"
+    # every row trains for the same number of steps; a schedule that
+    # cannot leave warmup would fail each row, so refuse before the first
+    batches = len(train_docs) // base.batch_size
+    if 0 < base.epochs * batches <= base.warmup_steps:
+        raise ContractError(
+            f"{epochs_key}={base.epochs} at {batches} batches per epoch gives "
+            f"{base.epochs * batches} steps a row, which must exceed "
+            f"train.warmup_steps={base.warmup_steps}")
     grid = evaluation.default_grid()
     _ensure_dir(args.out)
     for seed in seeds:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import jsonio
 from .autodiff import ContractError, Var, as_var
 
 
@@ -40,7 +41,10 @@ class ModelConfig:
         }
 
 
-def model_config_from_dict(d: dict) -> ModelConfig:
+def model_config_from_dict(d: dict, path: str = "model") -> ModelConfig:
+    for key in ("region_input_dim", "sentence_input_dim", "hidden_dim",
+                "embed_dim"):
+        jsonio.require(d, key, path)
     return ModelConfig(**d)
 
 

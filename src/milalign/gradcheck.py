@@ -1,17 +1,20 @@
-"""Finite-difference verification suite for every backward rule.
+"""Finite-difference verification suite for the scoring and training path.
 
-Each named case draws random instances of one differentiable operation,
-wraps it as a scalar function of a flat parameter vector, and compares
-the analytic gradient against central differences. Operations with
-frozen selections (Max, the NL critical region) resample until the
-selection has enough margin that the probe steps cannot flip it; the
-kink would otherwise make the numeric gradient meaningless.
+Each named case draws random instances of one differentiable operation
+(an aggregator, a 1x1 score table, the table loss, or the full training
+loss of one grid row), wraps it as a scalar function of a flat parameter
+vector, and compares the analytic gradient against central differences.
+Operations with frozen selections (Max, the NL critical region) resample
+until the selection has enough margin that the probe steps cannot flip
+it; the kink would otherwise make the numeric gradient meaningless.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,17 +24,16 @@ from .aggregators import (
     GlobalAggregatorSpec,
     LocalAggregatorSpec,
     SentenceAggregatorSpec,
-    aggregate_global,
-    aggregate_local,
-    aggregate_sentences,
+    aggregate_local_axis,
+    aggregate_sentences_axis,
     bind_global_spec,
 )
 from .encoders import EncoderParams, ModelConfig, encode_bag, flatten_params, \
     init_model, unflatten_params
-from .numeric import cosine_similarity, linear_transform, stable_logsumexp, \
-    stable_softmax
-from .objective import Temperature, combined_loss, infonce
-from .scoring import ScoreFunctionConfig, ScoreVector, score_matrix
+from .evaluation import default_grid
+from .objective import Temperature, infonce_score_table
+from .scoring import pairwise_score_tables
+from .trainer import BatchItem, TrainConfig, batch_loss
 
 _MAX_DRAWS = 200
 _COSINE_CEILING = 0.99   # keep clamps inactive around probe points
@@ -56,64 +58,8 @@ def _split(leaf: Var, sizes):
     return parts
 
 
-def _case_cosine(rng):
-    dim = int(rng.integers(3, 7))
-
-    def build(r):
-        return np.concatenate([r.normal(0.0, 1.0, dim),
-                               r.normal(0.0, 1.0, dim)])
-
-    def accept(point):
-        x, y = point[:dim], point[dim:]
-        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-        if min(nx, ny) < 0.5:
-            return False
-        return abs(float(x @ y) / (nx * ny)) < _COSINE_CEILING
-
-    point = _draw(rng, build, accept)
-
-    def f(leaf):
-        x, y = _split(leaf, [dim, dim])
-        return cosine_similarity(x, y)
-
-    return f, point
-
-
-def _case_logsumexp(rng):
-    n = int(rng.integers(2, 9))
-    gamma = float(rng.choice([0.1, 1.0, 2.5]))
-    point = rng.normal(0.0, 1.0, n)
-    return (lambda leaf: stable_logsumexp(leaf, gamma)), point
-
-
 def as_constant(array) -> Var:
     return Var(np.asarray(array, dtype=np.float64))
-
-
-def _case_softmax(rng):
-    n = int(rng.integers(2, 9))
-    gamma = float(rng.choice([0.5, 1.0, 3.0]))
-    mix = rng.normal(0.0, 1.0, n)
-    point = rng.normal(0.0, 1.0, n)
-
-    def f(leaf):
-        return ad.matmul(stable_softmax(leaf, gamma), as_constant(mix))
-
-    return f, point
-
-
-def _case_linear(rng):
-    rows = int(rng.integers(2, 5))
-    cols = int(rng.integers(2, 5))
-    mix = rng.normal(0.0, 1.0, rows)
-    point = rng.normal(0.0, 1.0, rows * cols + rows + cols)
-
-    def f(leaf):
-        w_flat, b, x = _split(leaf, [rows * cols, rows, cols])
-        w = ad.reshape(w_flat, (rows, cols))
-        return ad.matmul(linear_transform(w, x, b), as_constant(mix))
-
-    return f, point
 
 
 def _case_encode(rng):
@@ -140,18 +86,45 @@ def _scores_in_range(rng, n):
     return rng.uniform(-0.95, 0.95, n)
 
 
+def _top_gaps(scores, axis):
+    ranked = np.sort(scores, axis=axis)
+    return np.take(ranked, -1, axis=axis) - np.take(ranked, -2, axis=axis)
+
+
+def _table_ok(regions, sentences, n_regions, min_norm):
+    """Features clear of the norm floor, cosines clear of the clamps, and
+    each image's best region per sentence ahead of its runner-up by the
+    selection margin, so no probe step can flip a frozen argmax."""
+    r_norms = np.linalg.norm(regions, axis=1)
+    s_norms = np.linalg.norm(sentences, axis=1)
+    if min(r_norms.min(), s_norms.min()) < min_norm:
+        return False
+    cosines = (regions / r_norms[:, None]) @ (sentences / s_norms[:, None]).T
+    if np.abs(cosines).max() >= _COSINE_CEILING:
+        return False
+    blocks = cosines.reshape(-1, n_regions, sentences.shape[0])
+    return _top_gaps(blocks, axis=1).min() >= _SELECTION_MARGIN
+
+
 def _local_case(kind, **kwargs):
     def case(rng):
         n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, 4))
         spec = LocalAggregatorSpec(kind=kind, **kwargs)
+        mix = rng.normal(0.0, 1.0, m)
         if kind == "Max":
-            def accept(v):
-                top = np.sort(v)[-2:]
-                return top[1] - top[0] >= _SELECTION_MARGIN
-            point = _draw(rng, lambda r: _scores_in_range(r, n), accept)
+            point = _draw(rng, lambda r: _scores_in_range(r, n * m),
+                          lambda v: _top_gaps(v.reshape(n, m), axis=0).min()
+                          >= _SELECTION_MARGIN)
         else:
-            point = _scores_in_range(rng, n)
-        return (lambda leaf: aggregate_local(spec, leaf)), point
+            point = _scores_in_range(rng, n * m)
+
+        def f(leaf):
+            per_sentence = aggregate_local_axis(spec, ad.reshape(leaf, (n, m)),
+                                                axis=0)
+            return ad.matmul(per_sentence, as_constant(mix))
+
+        return f, point
 
     return case
 
@@ -161,155 +134,107 @@ def _sentence_case(kind, **kwargs):
         n = 1 if kind == "Id" else int(rng.integers(2, 7))
         spec = SentenceAggregatorSpec(kind=kind, **kwargs)
         if kind == "Max":
-            def accept(v):
-                top = np.sort(v)[-2:]
-                return top[1] - top[0] >= _SELECTION_MARGIN
-            point = _draw(rng, lambda r: _scores_in_range(r, n), accept)
+            point = _draw(rng, lambda r: _scores_in_range(r, n),
+                          lambda v: _top_gaps(v, axis=0) >= _SELECTION_MARGIN)
         else:
             point = _scores_in_range(rng, n)
-        return (lambda leaf: aggregate_sentences(spec, leaf)), point
+        return (lambda leaf: aggregate_sentences_axis(spec, leaf, axis=0)), point
 
     return case
 
 
-def _bag_and_sentence(rng, n, dim):
-    return np.concatenate([rng.normal(0.0, 1.0, n * dim),
-                           rng.normal(0.0, 1.0, dim)])
-
-
-def _bag_cosines(point, n, dim):
-    bag = point[:n * dim].reshape(n, dim)
-    sent = point[n * dim:]
-    norms = np.linalg.norm(bag, axis=1) * np.linalg.norm(sent)
-    return bag @ sent / np.maximum(norms, 1e-12)
-
-
-def _accept_bag(point, n, dim, need_margin):
-    bag = point[:n * dim].reshape(n, dim)
-    sent = point[n * dim:]
-    if min(np.linalg.norm(bag, axis=1).min(), np.linalg.norm(sent)) < 0.5:
-        return False
-    cosines = _bag_cosines(point, n, dim)
-    if np.abs(cosines).max() >= _COSINE_CEILING:
-        return False
-    if need_margin:
-        top = np.sort(cosines)[-2:]
-        if top[1] - top[0] < _SELECTION_MARGIN:
-            return False
-    return True
-
-
 def _global_case(kind):
+    """The global route's 1x1 score table of one image and one document."""
     def case(rng):
         n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 3))
         dim = int(rng.integers(3, 5))
-        sizes = {"Att": dim * dim + dim, "NL": dim * dim}.get(kind, 0)
-        base = _draw(rng, lambda r: _bag_and_sentence(r, n, dim),
-                     lambda p: _accept_bag(p, n, dim, kind == "NL"))
-        extra = rng.normal(0.0, 0.5, sizes)
-        if kind == "NL":
+        base = _draw(rng, lambda r: r.normal(0.0, 1.0, (n + m) * dim),
+                     lambda p: _table_ok(p[:n * dim].reshape(n, dim),
+                                         p[n * dim:].reshape(m, dim), n, 0.5))
+        if kind == "Att":
+            extra = rng.normal(0.0, 0.5, dim * dim + dim)
+        elif kind == "NL":
             extra = (np.eye(dim) + 0.1 * rng.normal(0.0, 1.0, (dim, dim))).ravel()
-        point = np.concatenate([base, extra]) if sizes else base
+        else:
+            extra = np.zeros(0)
+        point = np.concatenate([base, extra])
 
         def f(leaf):
-            bag = ad.reshape(leaf[:n * dim], (n, dim))
-            sent = leaf[n * dim:n * dim + dim]
+            bag, sentences, params = _split(leaf, [n * dim, m * dim, extra.size])
             spec = GlobalAggregatorSpec(
                 kind=kind, gamma=math.e if kind == "NL" else None)
-            kwargs = {}
             if kind == "Att":
-                proj_flat, vec = _split(leaf[n * dim + dim:], [dim * dim, dim])
-                spec = bind_global_spec(spec,
-                                        att_proj=ad.reshape(proj_flat, (dim, dim)),
+                proj, vec = _split(params, [dim * dim, dim])
+                spec = bind_global_spec(spec, att_proj=ad.reshape(proj, (dim, dim)),
                                         att_vec=vec)
             elif kind == "NL":
-                amat = ad.reshape(leaf[n * dim + dim:], (dim, dim))
-                spec = bind_global_spec(spec, sim_map=amat)
-                table = score_matrix(bag, ad.reshape(sent, (1, dim)))
-                kwargs["region_scores"] = ad.reshape(table, (n,))
-            elif kind == "CA":
-                kwargs["condition"] = sent
-            pooled = aggregate_global(spec, bag, **kwargs)
-            return cosine_similarity(pooled, sent)
+                spec = bind_global_spec(spec, sim_map=ad.reshape(params, (dim, dim)))
+            _, table = pairwise_score_tables(
+                ad.reshape(bag, (n, dim)), n, ad.reshape(sentences, (m, dim)), m,
+                None, spec, SentenceAggregatorSpec(kind="Avg"))
+            return ad.reshape(table, ())
 
         return f, point
 
     return case
 
 
-def _case_infonce(rng):
-    k = int(rng.integers(1, 6))
-    scores = rng.uniform(-0.9, 0.9, 1 + k)
+def _case_infonce_table(rng):
+    b = int(rng.integers(2, 6))
     log_gamma = math.log(rng.uniform(1.0, 5.0))
-    point = np.concatenate([scores, [log_gamma]])
+    point = np.concatenate([rng.uniform(-0.9, 0.9, b * b), [log_gamma]])
 
     def f(leaf):
-        pos = leaf[0]
-        negs = leaf[1:1 + k]
-        temp = Temperature(log_gamma=leaf[1 + k])
-        return infonce(ScoreVector(positive=pos, negatives=negs), temp)
+        table = ad.reshape(leaf[:b * b], (b, b))
+        return infonce_score_table(table, Temperature(log_gamma=leaf[b * b]))
 
     return f, point
 
 
-_E2E_CONFIG = ModelConfig(region_input_dim=3, sentence_input_dim=3,
-                          hidden_dim=4, embed_dim=4, use_nl=True)
-_E2E_REGIONS = 3
-_E2E_SENTENCES = 2
-_E2E_NEGATIVES = 2
+_TINY_MODEL = ModelConfig(region_input_dim=3, sentence_input_dim=3,
+                          hidden_dim=4, embed_dim=4)
+_TINY_BATCH = 3
+_TINY_REGIONS = 3
+_TINY_SENTENCES = 2
 
 
-def _e2e_margins_ok(point, obs_sets):
-    params = unflatten_params(_E2E_CONFIG, np.asarray(point))
-    sent_feats = encode_bag(params.sentence_encoder, obs_sets["document"]).value
-    for key in ("matched", "mismatched_0", "mismatched_1"):
-        feats = encode_bag(params.region_encoder, obs_sets[key]).value
-        norms = np.linalg.norm(feats, axis=1)[:, None] \
-            * np.linalg.norm(sent_feats, axis=1)[None, :]
-        if norms.min() < 1e-3:
-            return False
-        cosines = feats @ sent_feats.T / np.maximum(norms, 1e-12)
-        if np.abs(cosines).max() >= _COSINE_CEILING:
-            return False
-        gaps = np.sort(cosines, axis=0)
-        if (gaps[-1] - gaps[-2]).min() < _SELECTION_MARGIN:
-            return False
-    return True
+def _batch_loss_case(entry):
+    """The training loss of one grid row on a tiny batch, as a function of
+    the flat parameter vector."""
+    global_kind = None if entry.global_agg is None else entry.global_agg.kind
+    model = dataclasses.replace(_TINY_MODEL, use_nl=global_kind == "NL",
+                                use_att=global_kind == "Att")
+    config = TrainConfig(model=model, local_agg=entry.local_agg,
+                         global_agg=entry.global_agg, batch_size=_TINY_BATCH,
+                         sentences_per_bag=_TINY_SENTENCES)
 
+    def case(rng):
+        params = init_model(model, gamma_init=float(rng.uniform(1.0, 5.0)),
+                            seed=int(rng.integers(0, 2 ** 31)))
+        flat = flatten_params(model, params)
+        point = flat + rng.normal(0.0, 0.05, flat.shape)
+        moved = unflatten_params(model, point)
 
-def _case_combined_loss(rng):
-    params = init_model(_E2E_CONFIG, gamma_init=float(rng.uniform(1.0, 5.0)),
-                        seed=int(rng.integers(0, 2 ** 31)))
-    flat = flatten_params(_E2E_CONFIG, params)
-    point = flat + rng.normal(0.0, 0.05, flat.shape)
+        def build(r):
+            return (r.normal(0.0, 1.0, (_TINY_BATCH * _TINY_REGIONS, 3)),
+                    r.normal(0.0, 1.0, (_TINY_BATCH * _TINY_SENTENCES, 3)))
 
-    def build(r):
-        return {
-            "document": r.normal(0.0, 1.0, (_E2E_SENTENCES, 3)),
-            "matched": r.normal(0.0, 1.0, (_E2E_REGIONS, 3)),
-            "mismatched_0": r.normal(0.0, 1.0, (_E2E_REGIONS, 3)),
-            "mismatched_1": r.normal(0.0, 1.0, (_E2E_REGIONS, 3)),
-        }
+        def accept(obs):
+            return _table_ok(encode_bag(moved.region_encoder, obs[0]).value,
+                             encode_bag(moved.sentence_encoder, obs[1]).value,
+                             _TINY_REGIONS, 0.05)
 
-    obs = _draw(rng, build, lambda o: _e2e_margins_ok(point, o))
+        regions, sentences = _draw(rng, build, accept)
+        batch = [
+            BatchItem(document=SimpleNamespace(region_observations=bag),
+                      sentence_bag=doc)
+            for bag, doc in zip(regions.reshape(_TINY_BATCH, _TINY_REGIONS, 3),
+                                sentences.reshape(_TINY_BATCH, _TINY_SENTENCES, 3))
+        ]
+        return (lambda leaf: batch_loss(config, leaf, batch)), point
 
-    def f(leaf):
-        model = unflatten_params(_E2E_CONFIG, leaf)
-        doc = encode_bag(model.sentence_encoder, obs["document"])
-        matched = encode_bag(model.region_encoder, obs["matched"])
-        mism = [encode_bag(model.region_encoder, obs["mismatched_0"]),
-                encode_bag(model.region_encoder, obs["mismatched_1"])]
-        local_config = ScoreFunctionConfig(
-            mode="local", local_agg=LocalAggregatorSpec(kind="LSE", gamma=0.1))
-        global_config = ScoreFunctionConfig(
-            mode="global",
-            global_agg=bind_global_spec(
-                GlobalAggregatorSpec(kind="NL", gamma=math.e),
-                sim_map=model.sim_map))
-        return combined_loss(local_config, global_config, doc, matched, mism,
-                             Temperature(log_gamma=model.log_gamma))
-
-    return f, point
+    return case
 
 
 @dataclass(eq=False)
@@ -321,10 +246,6 @@ class CheckResult:
 
 
 SUITE = [
-    ("cosine_similarity", _case_cosine),
-    ("stable_logsumexp", _case_logsumexp),
-    ("stable_softmax", _case_softmax),
-    ("linear_transform", _case_linear),
     ("encode_bag", _case_encode),
     ("local_Max", _local_case("Max")),
     ("local_Sum", _local_case("Sum")),
@@ -341,9 +262,9 @@ SUITE = [
     ("global_Att", _global_case("Att")),
     ("global_NL", _global_case("NL")),
     ("global_CA", _global_case("CA")),
-    ("infonce", _case_infonce),
-    ("combined_loss_end_to_end", _case_combined_loss),
-]
+    ("infonce_score_table", _case_infonce_table),
+] + [(f"batch_loss_{entry.name}", _batch_loss_case(entry))
+     for entry in default_grid()]
 
 
 def run_suite(step: float = 1e-5, tolerance: float = 1e-4,

@@ -71,6 +71,17 @@ def loads(text: str):
     return json.loads(text)
 
 
+def require(obj, key: str, path: str = ""):
+    """obj[key] of a parsed JSON object, or a ContractError naming the
+    dotted path of the missing field."""
+    dotted = f"{path}.{key}" if path else key
+    if not isinstance(obj, dict):
+        raise ContractError(f"{path or 'document'} must be a JSON object")
+    if key not in obj:
+        raise ContractError(f"missing field {dotted}")
+    return obj[key]
+
+
 def fingerprint(obj) -> str:
     """Stable 16-hex-digit digest of the canonical serialization."""
     digest = hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()

@@ -1,8 +1,12 @@
-"""Named numeric operations with stability and exactness guarantees."""
+"""Cosine helpers shared by scoring and evaluation, and population stats.
+
+Cosine scores scale each row to unit norm, with the norm floored at
+NORM_EPS: on the tape through `unit_rows`, on plain arrays through
+`cosine_matrix`.
+Softmax and logsumexp exist once, as `autodiff` ops.
+"""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -11,102 +15,6 @@ from .autodiff import ContractError, Var, as_var
 
 # Guard against division by a vanishing norm product in cosine scores.
 NORM_EPS = 1e-12
-
-
-def _require_vector(v: Var, name: str) -> np.ndarray:
-    if v.value.ndim != 1:
-        raise ContractError(f"{name} expects a 1-D vector")
-    if v.value.size == 0:
-        raise ContractError(f"{name} got an empty vector")
-    return v.value
-
-
-def cosine_similarity(x, y) -> Var:
-    """Cosine of the angle between two vectors, clamped into [-1, 1].
-
-    The norm product is floored at NORM_EPS; the backward rule treats the
-    floor as inactive whenever the true product exceeds it, and returns
-    zero cotangents otherwise.
-    """
-    xv, yv = as_var(x), as_var(y)
-    a = _require_vector(xv, "cosine_similarity")
-    b = _require_vector(yv, "cosine_similarity")
-    if a.shape != b.shape:
-        raise ContractError(
-            f"cosine_similarity dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
-        )
-    na = float(np.sqrt(np.sum(a * a)))
-    nb = float(np.sqrt(np.sum(b * b)))
-    prod = na * nb
-    denom = max(prod, NORM_EPS)
-    raw = float(np.dot(a, b)) / denom
-    out = min(1.0, max(-1.0, raw))
-
-    def vjp(g):
-        if prod <= NORM_EPS:
-            return np.zeros_like(a), np.zeros_like(b)
-        gf = float(np.asarray(g))
-        ga = gf * (b / prod - raw * a / (na * na))
-        gb = gf * (a / prod - raw * b / (nb * nb))
-        return ga, gb
-
-    return Var(np.asarray(out), (xv, yv), vjp)
-
-
-def stable_logsumexp(values, scale: float) -> Var:
-    """Soft maximum (1/scale)*log(sum(exp(scale*v))) of a non-empty vector."""
-    v = as_var(values)
-    _require_vector(v, "stable_logsumexp")
-    gamma = float(scale)
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ContractError("stable_logsumexp requires a positive finite scale")
-    return ad.logsumexp(v, gamma, axis=None)
-
-
-def stable_softmax(values, scale: float) -> Var:
-    """Softmax weights of a non-empty vector; scale 0 gives uniform weights.
-
-    The denominator is an exactly rounded sum (math.fsum), so relabeling
-    the inputs relabels the outputs with no rounding drift at all.
-    """
-    v = as_var(values)
-    val = _require_vector(v, "stable_softmax")
-    gamma = float(scale)
-    if not np.isfinite(gamma):
-        raise ContractError("stable_softmax requires a finite scale")
-    z = gamma * val
-    m = float(np.max(z))
-    e = np.exp(z - m)
-    total = math.fsum(e)
-    w = e / total
-
-    def vjp(g):
-        g = np.asarray(g, dtype=np.float64)
-        inner = math.fsum(g * w)
-        return (gamma * w * (g - inner),)
-
-    return Var(w, (v,), vjp)
-
-
-def linear_transform(W, x, b=None) -> Var:
-    """W @ x (+ b) with shape validation."""
-    Wv, xv = as_var(W), as_var(x)
-    if Wv.value.ndim != 2:
-        raise ContractError("linear_transform expects a 2-D matrix")
-    _require_vector(xv, "linear_transform")
-    if Wv.value.shape[1] != xv.value.shape[0]:
-        raise ContractError(
-            f"linear_transform shape mismatch: matrix is {Wv.value.shape}, "
-            f"vector has length {xv.value.shape[0]}"
-        )
-    out = ad.matmul(Wv, xv)
-    if b is None:
-        return out
-    bv = as_var(b)
-    _require_vector(bv, "linear_transform")
-    if bv.value.shape[0] != Wv.value.shape[0]:
-        raise ContractError("linear_transform bias length mismatch")
-    return ad.add(out, bv)
 
 
 def population_stats(values) -> tuple[float, float]:
@@ -120,7 +28,7 @@ def population_stats(values) -> tuple[float, float]:
 
 
 def unit_rows(x) -> Var:
-    """Rows scaled to unit norm, with the same NORM_EPS floor as cosine."""
+    """Rows scaled to unit norm, each norm floored at NORM_EPS."""
     xv = as_var(x)
     if xv.value.ndim != 2:
         raise ContractError("unit_rows expects a 2-D matrix")

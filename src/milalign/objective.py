@@ -1,9 +1,10 @@
-"""Asymmetric text-to-image contrastive loss.
+"""Asymmetric text-to-image contrastive loss over a batch score table.
 
-Each document is contrasted against its matched image and K mismatched
-images; images are never contrasted against documents. The loss is the
-stable form log(1 + sum_k exp(gamma * (neg_k - pos))), evaluated through
-a max-shifted logsumexp so any temperature magnitude is safe.
+Each document (a column of the table) is contrasted against its matched
+image (the diagonal) and every other image in the batch; images are
+never contrasted against documents. Per document the loss is
+log(sum_j exp(gamma * s_j)) - gamma * s_pos, evaluated through a
+max-shifted logsumexp so any temperature magnitude is safe.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, Var, as_var
-from .scoring import ScoreFunctionConfig, ScoreVector, assemble_contrastive_scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,23 +39,12 @@ def _gamma_var(temp) -> Var:
     return g
 
 
-def infonce(scores: ScoreVector, temp) -> Var:
-    """Contrastive loss of one score vector; strictly positive.
-
-    `temp` is a Temperature (trainable) or a plain gamma value.
-    """
-    gamma = _gamma_var(temp)
-    z = ad.mul(gamma, ad.sub(scores.negatives, scores.positive))
-    shifted = ad.concat([as_var(np.zeros(1)), z], axis=0)
-    return ad.logsumexp(shifted, 1.0, axis=None)
-
-
 def infonce_score_table(table, temp) -> Var:
     """Mean contrastive loss over a square score table.
 
     Rows are images, columns are documents; the diagonal holds the
     matched pairs and every off-diagonal image in the column is a
-    negative. Identical to averaging `infonce` over the columns.
+    negative. `temp` is a Temperature (trainable) or a plain gamma value.
     """
     t = as_var(table)
     if t.value.ndim != 2 or t.value.shape[0] != t.value.shape[1]:
@@ -66,28 +55,3 @@ def infonce_score_table(table, temp) -> Var:
     scaled = ad.mul(gamma, t)
     per_doc = ad.sub(ad.logsumexp(scaled, 1.0, axis=0), ad.diag_part(scaled))
     return ad.vmean(per_doc, axis=0)
-
-
-def combined_loss(local_config: ScoreFunctionConfig | None,
-                  global_config: ScoreFunctionConfig | None,
-                  document, matched, mismatched, temp) -> Var:
-    """Sum of the enabled local and global contrastive terms.
-
-    Both terms share one temperature. Disabling both is an error: the
-    ablation grid switches terms off one at a time, never together.
-    """
-    if local_config is None and global_config is None:
-        raise ContractError("at least one of the local/global loss terms "
-                            "must be enabled")
-    if local_config is not None and local_config.mode != "local":
-        raise ContractError("local_config must be a local-mode score function")
-    if global_config is not None and global_config.mode != "global":
-        raise ContractError("global_config must be a global-mode score function")
-    total = None
-    for config in (local_config, global_config):
-        if config is None:
-            continue
-        vector = assemble_contrastive_scores(config, document, matched, mismatched)
-        term = infonce(vector, temp)
-        total = term if total is None else ad.add(total, term)
-    return total

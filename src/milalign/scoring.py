@@ -5,12 +5,12 @@ sentence features, both already in the shared embedding space. The local
 route aggregates per-region cosine scores per sentence; the global route
 pools the regions into one vector per sentence and scores that vector.
 Either way the per-sentence scores are reduced by a sentence aggregator
-to a single scalar in [-1, 1].
+to a single scalar in [-1, 1]. `pairwise_score_tables` scores a whole
+batch of images against a whole batch of documents in one pass; a single
+pair is a 1x1 call.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,32 +20,10 @@ from .aggregators import (
     GlobalAggregatorSpec,
     LocalAggregatorSpec,
     SentenceAggregatorSpec,
-    aggregate_global,
     aggregate_local_axis,
-    aggregate_sentences,
     aggregate_sentences_axis,
 )
-from .numeric import NORM_EPS, cosine_similarity, unit_rows
-
-MODES = ("local", "global")
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreFunctionConfig:
-    """One fully specified image-document score function."""
-
-    mode: str
-    local_agg: LocalAggregatorSpec | None = None
-    global_agg: GlobalAggregatorSpec | None = None
-    sentence_agg: SentenceAggregatorSpec = SentenceAggregatorSpec(kind="Avg")
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ContractError(f"unknown score mode: {self.mode!r}")
-        if self.mode == "local" and self.local_agg is None:
-            raise ContractError("local mode requires a local aggregator spec")
-        if self.mode == "global" and self.global_agg is None:
-            raise ContractError("global mode requires a global aggregator spec")
+from .numeric import NORM_EPS, unit_rows
 
 
 def _as_bag(x, name: str) -> Var:
@@ -67,91 +45,32 @@ def score_matrix(regions, sentences) -> Var:
     return ad.clamp(ad.matmul(unit_rows(r), ad.transpose(unit_rows(s))), -1.0, 1.0)
 
 
-def image_sentence_scores_local(local_agg: LocalAggregatorSpec, sm) -> Var:
-    """Aggregate each sentence's column of region scores; returns (M,)."""
-    v = as_var(sm)
-    if v.value.ndim != 2 or v.value.size == 0:
-        raise ContractError("expected a non-empty (N, M) score matrix")
-    return aggregate_local_axis(local_agg, v, axis=0)
-
-
-def image_sentence_scores_global(global_agg: GlobalAggregatorSpec, regions,
-                                 sentences, sm=None) -> Var:
-    """Score each sentence against a pooled region feature; returns (M,).
-
-    Unconditioned aggregators (Avg, Att) pool once and reuse the vector
-    for every sentence; NL and CA pool per sentence, NL from the score
-    matrix column and CA from the sentence itself.
-    """
-    r = _as_bag(regions, "regions")
-    s = _as_bag(sentences, "sentences")
-    m = s.value.shape[0]
-    if global_agg.kind == "NL":
-        if sm is None:
-            raise ContractError("NL scoring requires the region score matrix")
-        smv = as_var(sm)
-        if smv.value.shape != (r.value.shape[0], m):
-            raise ContractError("score matrix shape must be (N, M)")
-    scores = []
-    if global_agg.kind in ("Avg", "Att"):
-        pooled = aggregate_global(global_agg, r)
-        for j in range(m):
-            scores.append(cosine_similarity(pooled, s[j]))
-    else:
-        for j in range(m):
-            column = as_var(sm)[:, j] if global_agg.kind == "NL" else None
-            pooled = aggregate_global(global_agg, r, condition=s[j],
-                                      region_scores=column)
-            scores.append(cosine_similarity(pooled, s[j]))
-    return ad.stack(scores, axis=0)
-
-
-def image_document_score(config: ScoreFunctionConfig, regions, sentences) -> Var:
-    """Scalar score of one image bag against one document bag."""
-    if config.mode == "local":
-        sm = score_matrix(regions, sentences)
-        per_sentence = image_sentence_scores_local(config.local_agg, sm)
-    else:
-        sm = None
-        if config.global_agg.kind == "NL":
-            sm = score_matrix(regions, sentences)
-        per_sentence = image_sentence_scores_global(
-            config.global_agg, regions, sentences, sm=sm
-        )
-    return aggregate_sentences(config.sentence_agg, per_sentence)
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreVector:
-    """A matched score and the mismatched scores it is contrasted against."""
-
-    positive: Var
-    negatives: Var
-
-    def __post_init__(self):
-        if self.positive.value.ndim != 0:
-            raise ContractError("positive score must be a scalar")
-        if self.negatives.value.ndim != 1 or self.negatives.value.size == 0:
-            raise ContractError("need at least one mismatched score")
-
-
-def assemble_contrastive_scores(config: ScoreFunctionConfig, document,
-                                matched, mismatched) -> ScoreVector:
-    """Score one document against its matched image and K mismatched ones."""
-    doc = _as_bag(document, "document")
-    if len(mismatched) == 0:
-        raise ContractError("need at least one mismatched image")
-    pos = image_document_score(config, matched, doc)
-    negs = [image_document_score(config, bag, doc) for bag in mismatched]
-    return ScoreVector(positive=pos, negatives=ad.stack(negs, axis=0))
-
-
 def _column_cosines(pooled_cols: Var, unit_sent_cols: Var) -> Var:
     # pooled_cols: (D, Q) one pooled feature per sentence column;
     # unit_sent_cols: (D, Q) unit-norm sentence features
     num = ad.vsum(ad.mul(pooled_cols, unit_sent_cols), axis=0)
     den = ad.clip_min(ad.l2norm(pooled_cols, axis=0), NORM_EPS)
     return ad.clamp(ad.div(num, den), -1.0, 1.0)
+
+
+def _attention_pool(spec: GlobalAggregatorSpec, regions: Var, bi: int,
+                    n_regions: int) -> Var:
+    """Attention-MIL pooling (Ilse et al., 2018) of every image at once:
+    each image's regions are weighted by the softmax over that image of
+    att_vec . tanh(att_proj @ region). Returns (bi, D)."""
+    if spec.att_proj is None or spec.att_vec is None:
+        raise ContractError("Att aggregator requires att_proj and att_vec")
+    proj = as_var(spec.att_proj)
+    vec = as_var(spec.att_vec)
+    dim = regions.value.shape[1]
+    if proj.value.ndim != 2 or proj.value.shape[1] != dim:
+        raise ContractError("att_proj must be (H, D) for D-dim regions")
+    if vec.value.ndim != 1 or vec.value.shape[0] != proj.value.shape[0]:
+        raise ContractError("att_vec length must match att_proj rows")
+    logits = ad.matmul(ad.tanh(ad.matmul(regions, ad.transpose(proj))), vec)
+    weights = ad.softmax(ad.reshape(logits, (bi, n_regions)), 1.0, axis=1)
+    bags = ad.reshape(regions, (bi, n_regions, dim))
+    return ad.vsum(ad.mul(ad.reshape(weights, (bi, n_regions, 1)), bags), axis=1)
 
 
 def pairwise_score_tables(regions_all, n_regions: int, sentences_all,
@@ -164,9 +83,7 @@ def pairwise_score_tables(regions_all, n_regions: int, sentences_all,
     `regions_all` stacks the B_i image bags into (B_i * N, D) and
     `sentences_all` the B_d document bags into (B_d * M, D). Returns
     (local_table, global_table), each (B_i, B_d) or None if that route is
-    disabled. Row j column i is the score of image j against document i,
-    identical (up to rounding reassociation) to calling
-    image_document_score on the individual bags.
+    disabled. Row j column i is the score of image j against document i.
     """
     r = _as_bag(regions_all, "regions_all")
     s = _as_bag(sentences_all, "sentences_all")
@@ -193,17 +110,17 @@ def pairwise_score_tables(regions_all, n_regions: int, sentences_all,
             if global_agg.kind == "Avg":
                 pooled = ad.vmean(ad.reshape(r, (bi, n_regions, dim)), axis=1)
             else:
-                rows = [
-                    aggregate_global(global_agg, r[j * n_regions:(j + 1) * n_regions])
-                    for j in range(bi)
-                ]
-                pooled = ad.stack(rows, axis=0)
+                pooled = _attention_pool(global_agg, r, bi, n_regions)
             gmat = ad.clamp(
                 ad.matmul(unit_rows(pooled), ad.transpose(sn)), -1.0, 1.0
             )
         else:
-            if global_agg.kind == "NL" and global_agg.sim_map is None:
-                raise ContractError("NL aggregator requires the learned sim_map matrix")
+            if global_agg.kind == "NL":
+                if global_agg.sim_map is None:
+                    raise ContractError("NL aggregator requires the learned "
+                                        "sim_map matrix")
+                if global_agg.gamma is None:
+                    raise ContractError("NL aggregator requires gamma")
             blocks = sm_all.value.reshape(bi, n_regions, bd * m_sentences)
             critical = np.argmax(blocks, axis=1)  # first maximal row per column
             sent_cols = ad.transpose(sn)

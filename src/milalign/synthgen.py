@@ -19,7 +19,7 @@ the independent share of the noise only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -94,7 +94,9 @@ class CorpusSpec:
         }
 
 
-def spec_from_dict(d: dict) -> CorpusSpec:
+def spec_from_dict(d: dict, path: str = "spec") -> CorpusSpec:
+    for f in fields(CorpusSpec):
+        jsonio.require(d, f.name, path)
     return CorpusSpec(**d)
 
 
@@ -292,15 +294,24 @@ def read_corpus(path) -> Corpus:
     if header.get("format_version") != FORMAT_VERSION:
         raise ContractError(f"{path}: unsupported corpus format_version "
                             f"{header.get('format_version')!r}")
-    spec = spec_from_dict(header["spec"])
-    raw_bank = header["concept_bank"]
-    bank = ConceptBank(
-        region_prototypes=np.asarray(raw_bank["region_prototypes"], dtype=np.float64),
-        sentence_prototypes=np.asarray(raw_bank["sentence_prototypes"],
-                                       dtype=np.float64),
-        modality_rotation=np.asarray(raw_bank["modality_rotation"], dtype=np.float64),
-        seed=int(raw_bank["seed"]),
-    )
+    try:
+        spec = spec_from_dict(jsonio.require(header, "spec"))
+        raw_bank = jsonio.require(header, "concept_bank")
+
+        def bank_field(key):
+            return jsonio.require(raw_bank, key, "concept_bank")
+
+        bank = ConceptBank(
+            region_prototypes=np.asarray(bank_field("region_prototypes"),
+                                         dtype=np.float64),
+            sentence_prototypes=np.asarray(bank_field("sentence_prototypes"),
+                                           dtype=np.float64),
+            modality_rotation=np.asarray(bank_field("modality_rotation"),
+                                         dtype=np.float64),
+            seed=int(bank_field("seed")),
+        )
+    except ContractError as exc:
+        raise ContractError(f"{path}: line 1: {exc}") from exc
     documents = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

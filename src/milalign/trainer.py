@@ -118,22 +118,30 @@ class TrainConfig:
         }
 
 
-def train_config_from_dict(d: dict) -> TrainConfig:
+def train_config_from_dict(d: dict, path: str = "config") -> TrainConfig:
+    """Inverse of TrainConfig.to_dict; a missing field raises ContractError
+    naming its dotted path under `path`."""
+    def field(key):
+        return jsonio.require(d, key, path)
+
+    betas = field("betas")
     return TrainConfig(
-        model=model_config_from_dict(d["model"]),
-        local_agg=local_spec_from_dict(d.get("local_agg")),
-        global_agg=global_spec_from_dict(d.get("global_agg")),
-        sentence_agg=sentence_spec_from_dict(d.get("sentence_agg")),
-        batch_size=int(d["batch_size"]),
-        sentences_per_bag=int(d["sentences_per_bag"]),
-        epochs=int(d["epochs"]),
-        peak_lr=float(d["peak_lr"]),
-        warmup_steps=int(d["warmup_steps"]),
-        weight_decay=float(d["weight_decay"]),
-        betas=(float(d["betas"][0]), float(d["betas"][1])),
-        adam_eps=float(d["adam_eps"]),
-        gamma_init=float(d["gamma_init"]),
-        seed=int(d["seed"]),
+        model=model_config_from_dict(field("model"), f"{path}.model"),
+        local_agg=local_spec_from_dict(d.get("local_agg"), f"{path}.local_agg"),
+        global_agg=global_spec_from_dict(d.get("global_agg"),
+                                         f"{path}.global_agg"),
+        sentence_agg=sentence_spec_from_dict(d.get("sentence_agg"),
+                                             f"{path}.sentence_agg"),
+        batch_size=int(field("batch_size")),
+        sentences_per_bag=int(field("sentences_per_bag")),
+        epochs=int(field("epochs")),
+        peak_lr=float(field("peak_lr")),
+        warmup_steps=int(field("warmup_steps")),
+        weight_decay=float(field("weight_decay")),
+        betas=(float(betas[0]), float(betas[1])),
+        adam_eps=float(field("adam_eps")),
+        gamma_init=float(field("gamma_init")),
+        seed=int(field("seed")),
     )
 
 
@@ -388,40 +396,53 @@ def load_checkpoint(path) -> Checkpoint:
         payload = jsonio.loads(text)
     except ValueError as exc:
         raise ContractError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return _checkpoint_from_payload(payload)
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
+
+
+def _checkpoint_from_payload(payload) -> Checkpoint:
     if not isinstance(payload, dict) or payload.get("kind") != "checkpoint":
-        raise ContractError(f"{path}: not a checkpoint file")
+        raise ContractError("not a checkpoint file")
     if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ContractError(f"{path}: unsupported checkpoint version "
+        raise ContractError(f"unsupported checkpoint version "
                             f"{payload.get('format_version')!r}")
     if "rng" not in payload or not isinstance(payload["rng"], dict):
-        raise ContractError(f"{path}: missing sampler state; cannot resume "
+        raise ContractError("missing sampler state; cannot resume "
                             "deterministically")
-    config = train_config_from_dict(payload["config"])
+    try:
+        np.random.default_rng(0).bit_generator.state = payload["rng"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractError(f"rng is not a valid sampler state "
+                            f"({type(exc).__name__}: {exc})") from exc
+    config = train_config_from_dict(jsonio.require(payload, "config"))
     expected_order = [
         {"name": name, "shape": list(shape), "decay": decay}
         for name, shape, decay in param_template(config.model)
     ]
     if payload.get("param_order") != expected_order:
-        raise ContractError(f"{path}: parameter layout does not match the "
-                            "configured model")
-    params = np.asarray(payload["params"], dtype=np.float64)
+        raise ContractError("parameter layout does not match the configured "
+                            "model")
+    params = np.asarray(jsonio.require(payload, "params"), dtype=np.float64)
     if params.shape != (param_count(config.model),):
-        raise ContractError(f"{path}: parameter vector length mismatch")
-    opt = payload.get("optimizer")
-    if not isinstance(opt, dict):
-        raise ContractError(f"{path}: missing optimizer state")
+        raise ContractError("parameter vector length mismatch")
+    opt = jsonio.require(payload, "optimizer")
     state = OptimizerState(
-        step=int(opt["step"]),
-        first_moment=np.asarray(opt["first_moment"], dtype=np.float64),
-        second_moment=np.asarray(opt["second_moment"], dtype=np.float64),
+        step=int(jsonio.require(opt, "step", "optimizer")),
+        first_moment=np.asarray(jsonio.require(opt, "first_moment", "optimizer"),
+                                dtype=np.float64),
+        second_moment=np.asarray(jsonio.require(opt, "second_moment",
+                                                "optimizer"), dtype=np.float64),
     )
     if state.first_moment.shape != params.shape or \
             state.second_moment.shape != params.shape:
-        raise ContractError(f"{path}: optimizer state length mismatch")
-    if state.step < 0 or int(payload.get("step", -1)) < 0:
-        raise ContractError(f"{path}: negative step counter")
+        raise ContractError("optimizer state length mismatch")
+    step = int(jsonio.require(payload, "step"))
+    if state.step < 0 or step < 0:
+        raise ContractError("negative step counter")
     return Checkpoint(config=config, params_flat=params, optimizer=state,
-                      rng_state=payload["rng"], step=int(payload["step"]))
+                      rng_state=payload["rng"], step=step)
 
 
 def write_training_log(path, rows, config_fingerprint: str = "") -> None:

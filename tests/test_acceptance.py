@@ -1,10 +1,10 @@
 """Package acceptance gates, one test per criterion:
 
 1. finite-difference gradient suite over every differentiable operation
-2. permutation invariance of all 11 aggregator configurations
+2. permutation invariance of the batched score tables, all 11 configurations
 3. log-sum-exp max bounds
-4. contrastive-loss identities
-5. naive straight-line oracle equivalence for both score routes and the loss
+4. contrastive-loss identities of the table loss
+5. naive straight-line oracle equivalence for both score tables and the loss
 6. desk-scale end-to-end experiment quality thresholds (seed 0)
 7. aggregator-grid structure and the combined-vs-global CNR ordering
 8. byte-identical pipeline determinism
@@ -21,14 +21,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from milalign import cli, gradcheck, synthgen, trainer
 from milalign.aggregators import (
     GlobalAggregatorSpec,
     LocalAggregatorSpec,
-    aggregate_local,
+    SentenceAggregatorSpec,
+    aggregate_local_axis,
     bind_global_spec,
 )
-from milalign.autodiff import as_var
 from milalign.config import experiment_from_dict
 from milalign.encoders import unflatten_params
 from milalign.evaluation import (
@@ -42,8 +43,8 @@ from milalign.evaluation import (
     single_concept_documents,
     zero_shot_classify,
 )
-from milalign.objective import combined_loss, infonce
-from milalign.scoring import ScoreFunctionConfig, ScoreVector, image_document_score
+from milalign.objective import infonce_score_table
+from milalign.scoring import pairwise_score_tables
 from milalign.synthgen import prompt_bank
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -75,8 +76,10 @@ def test_criterion_1_gradient_suite():
 
 
 # ---------------------------------------------------------------------------
-# criterion 2: region and sentence permutations leave the score and the
-# loss unchanged (within 1e-10 relative) for all 11 grid configurations
+# criterion 2: for all 11 grid configurations, the batched score tables
+# and their loss (within 1e-10 relative) are unchanged by permuting the
+# regions of each image and the sentences of each document, and permuting
+# images and documents together permutes the tables' rows and columns
 
 
 def _bound_global(spec, rng, dim):
@@ -90,41 +93,39 @@ def _bound_global(spec, rng, dim):
                             att_vec=rng.standard_normal(7))
 
 
+def _tables_and_loss(images, documents, local_agg, global_agg):
+    n, m = images.shape[1], documents.shape[1]
+    tables = [t for t in pairwise_score_tables(
+        images.reshape(-1, images.shape[2]), n,
+        documents.reshape(-1, documents.shape[2]), m, local_agg, global_agg,
+        SentenceAggregatorSpec(kind="Avg")) if t is not None]
+    loss = sum(infonce_score_table(t, 14.0).value for t in tables)
+    return [t.value for t in tables], loss
+
+
 def test_criterion_2_permutation_invariance():
     rng = np.random.default_rng(0)
-    n, m, dim, trials = 6, 3, 5, 200
+    b, n, m, dim, trials = 3, 6, 3, 5, 200
     worst = 0.0
     for entry in default_grid():
-        local_cfg = None
-        if entry.local_agg is not None:
-            local_cfg = ScoreFunctionConfig(mode="local",
-                                            local_agg=entry.local_agg)
-        global_cfg = None
-        if entry.global_agg is not None:
-            global_cfg = ScoreFunctionConfig(
-                mode="global",
-                global_agg=_bound_global(entry.global_agg, rng, dim))
-        routes = [c for c in (local_cfg, global_cfg) if c is not None]
+        global_agg = _bound_global(entry.global_agg, rng, dim)
         for trial in range(trials):
             if trial % 25 == 0:
-                doc = rng.uniform(-1.0, 1.0, size=(m, dim))
-                matched = rng.uniform(-1.0, 1.0, size=(n, dim))
-                mismatched = [rng.uniform(-1.0, 1.0, size=(n, dim))
-                              for _ in range(2)]
-                base_scores = [image_document_score(c, matched, doc).value
-                               for c in routes]
-                base_loss = combined_loss(local_cfg, global_cfg, doc, matched,
-                                          mismatched, 14.0).value
-            doc_p = doc[rng.permutation(m)]
-            matched_p = matched[rng.permutation(n)]
-            mismatched_p = [bag[rng.permutation(n)] for bag in mismatched]
-            for c, base in zip(routes, base_scores):
-                got = image_document_score(c, matched_p, doc_p).value
-                worst = max(worst, abs(got - base) / max(abs(base), 1.0))
-            got_loss = combined_loss(local_cfg, global_cfg, doc_p, matched_p,
-                                     mismatched_p, 14.0).value
-            worst = max(worst, abs(got_loss - base_loss)
-                        / max(abs(base_loss), 1.0))
+                images = rng.uniform(-1.0, 1.0, size=(b, n, dim))
+                documents = rng.uniform(-1.0, 1.0, size=(b, m, dim))
+                base_tables, base_loss = _tables_and_loss(
+                    images, documents, entry.local_agg, global_agg)
+            joint = rng.permutation(b)
+            images_p = np.stack([images[j][rng.permutation(n)] for j in joint])
+            documents_p = np.stack([documents[i][rng.permutation(m)]
+                                    for i in joint])
+            tables, loss = _tables_and_loss(images_p, documents_p,
+                                            entry.local_agg, global_agg)
+            for got, base in zip(tables, base_tables):
+                want = base[np.ix_(joint, joint)]
+                worst = max(worst, float(np.max(
+                    np.abs(got - want) / np.maximum(np.abs(want), 1.0))))
+            worst = max(worst, abs(loss - base_loss) / max(abs(base_loss), 1.0))
     ok = worst <= 1e-10
     _verdict(2, "permutation invariance, 11 configs x 200 trials", ok,
              f"worst rel dev {worst:.3e}")
@@ -146,12 +147,12 @@ def test_criterion_3_lse_bounds():
         scores = rng.uniform(-1.0, 1.0, size=n)
         top = scores.max()
         gamma = gammas[i % 3]
-        lse = aggregate_local(LocalAggregatorSpec(kind="LSE", gamma=gamma),
-                              scores).value
+        lse = aggregate_local_axis(LocalAggregatorSpec(kind="LSE", gamma=gamma),
+                                   scores, axis=0).value
         worst_lower = max(worst_lower, top - lse)
         worst_upper = max(worst_upper, lse - (top + math.log(n) / gamma))
-        tight = aggregate_local(LocalAggregatorSpec(kind="LSE", gamma=1000.0),
-                                scores).value
+        tight = aggregate_local_axis(
+            LocalAggregatorSpec(kind="LSE", gamma=1000.0), scores, axis=0).value
         worst_tight = max(worst_tight,
                           abs(tight - top) - math.log(n) / 1000.0)
     ok = worst_lower <= 1e-12 and worst_upper <= 1e-12 \
@@ -162,124 +163,89 @@ def test_criterion_3_lse_bounds():
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: equal scores give ln(K+1); the loss is invariant to score
-# shifts and to reordering the negatives
-
-
-def _vector(pos, negs):
-    return ScoreVector(as_var(np.asarray(float(pos))),
-                       as_var(np.asarray(negs, dtype=np.float64)))
+# criterion 4: a constant B x B score table gives ln(B); the table loss is
+# invariant to shifting a column and to reordering a column's
+# off-diagonal (mismatched) entries
 
 
 def test_criterion_4_loss_identities():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(200):
-        k = int(rng.integers(1, 33))
+        b = int(rng.integers(2, 34))
         gamma = float(rng.uniform(0.1, 30.0))
         c = float(rng.uniform(-1.0, 1.0))
-        equal = infonce(_vector(c, np.full(k, c)), gamma).value
-        worst = max(worst, abs(equal - math.log(k + 1)))
+        equal = infonce_score_table(np.full((b, b), c), gamma).value
+        worst = max(worst, abs(equal - math.log(b)))
 
-        pos = float(rng.uniform(-1.0, 1.0))
-        negs = rng.uniform(-1.0, 1.0, size=k)
-        base = infonce(_vector(pos, negs), gamma).value
-        shift = float(rng.uniform(-3.0, 3.0))
-        shifted = infonce(_vector(pos + shift, negs + shift), gamma).value
-        worst = max(worst, abs(shifted - base))
-        permuted = infonce(_vector(pos, negs[rng.permutation(k)]),
-                           gamma).value
-        worst = max(worst, abs(permuted - base))
+        table = rng.uniform(-1.0, 1.0, size=(b, b))
+        base = infonce_score_table(table, gamma).value
+        shifted = table + rng.uniform(-3.0, 3.0, size=b)[None, :]
+        worst = max(worst, abs(infonce_score_table(shifted, gamma).value - base))
+        reordered = table.copy()
+        for i in range(b):
+            rows = np.array([j for j in range(b) if j != i])
+            reordered[rows, i] = table[rng.permutation(rows), i]
+        worst = max(worst,
+                    abs(infonce_score_table(reordered, gamma).value - base))
     ok = worst <= 1e-12
     _verdict(4, "loss identities, 200 draws", ok, f"worst dev {worst:.3e}")
 
 
 # ---------------------------------------------------------------------------
-# criterion 5: both score routes and the combined loss match a naive
-# straight-line reimplementation with no stability transforms
+# criterion 5: both routes' score tables and the summed table loss match
+# the naive straight-line oracles, which use no stability transforms
 
 
-def _naive_cos(a, b):
-    num = sum(float(x) * float(y) for x, y in zip(a, b))
-    na = math.sqrt(sum(float(x) ** 2 for x in a))
-    nb = math.sqrt(sum(float(y) ** 2 for y in b))
-    return num / (na * nb)
-
-
-def _naive_local(regions, sentences, gamma):
-    per_sentence = []
-    for y in sentences:
-        cols = [_naive_cos(x, y) for x in regions]
-        per_sentence.append(
-            math.log(sum(math.exp(gamma * c) for c in cols)) / gamma)
-    return sum(per_sentence) / len(per_sentence)
-
-
-def _naive_global(regions, sentences, sim_map, gamma):
-    n = len(regions)
-    dim = len(regions[0])
-    mapped = [[sum(sim_map[r][c] * x[c] for c in range(dim))
-               for r in range(len(sim_map))] for x in regions]
-    per_sentence = []
-    for y in sentences:
-        cols = [_naive_cos(x, y) for x in regions]
-        k = max(range(n), key=lambda i: cols[i])
-        sims = [sum(mapped[i][r] * mapped[k][r] for r in range(len(mapped[0])))
-                for i in range(n)]
-        raw = [math.exp(gamma * s) for s in sims]
-        total = sum(raw)
-        weights = [w / total for w in raw]
-        pooled = [sum(weights[i] * regions[i][c] for i in range(n))
-                  for c in range(dim)]
-        if math.sqrt(sum(p * p for p in pooled)) < 1e-2:
-            return None  # too close to the norm guard; caller redraws
-        per_sentence.append(_naive_cos(pooled, y))
-    return sum(per_sentence) / len(per_sentence)
-
-
-def _naive_infonce(pos, negs, gamma):
-    num = math.exp(gamma * pos)
-    return -math.log(num / (num + sum(math.exp(gamma * s) for s in negs)))
+def _pooled_clear_of_zero(images, documents, spec):
+    # a pooled feature near the norm guard makes the cosine ill-conditioned
+    for img in images:
+        for doc in documents:
+            for y in doc:
+                cosines = [oracles.cos(x, y) for x in img]
+                if math.sqrt(sum(p * p for p in
+                                 oracles.pooled(spec, img, cosines))) < 1e-2:
+                    return False
+    return True
 
 
 def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(5)
     gamma_l, gamma_g, gamma_c = 0.1, math.e, 14.0
-    local_cfg = ScoreFunctionConfig(
-        mode="local", local_agg=LocalAggregatorSpec(kind="LSE", gamma=gamma_l))
+    local_agg = LocalAggregatorSpec(kind="LSE", gamma=gamma_l)
+    sentence_agg = SentenceAggregatorSpec(kind="Avg")
     worst = 0.0
     accepted = 0
     while accepted < 100:
+        b = int(rng.integers(2, 5))
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 4))
         dim = int(rng.integers(2, 5))
-        bags = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 5)), n, dim))
-        doc = rng.uniform(-1.0, 1.0, size=(m, dim))
-        if min(np.linalg.norm(doc, axis=1).min(),
-               np.linalg.norm(bags.reshape(-1, dim), axis=1).min()) < 0.3:
+        images = rng.uniform(-1.0, 1.0, size=(b, n, dim))
+        documents = rng.uniform(-1.0, 1.0, size=(b, m, dim))
+        if min(np.linalg.norm(documents, axis=2).min(),
+               np.linalg.norm(images, axis=2).min()) < 0.3:
             continue
         sim_map = np.eye(dim) + 0.1 * rng.standard_normal((dim, dim))
-        global_cfg = ScoreFunctionConfig(
-            mode="global",
-            global_agg=GlobalAggregatorSpec(kind="NL", gamma=gamma_g,
-                                            sim_map=sim_map))
-
-        naive_g = [_naive_global(bag, doc, sim_map, gamma_g) for bag in bags]
-        if any(v is None for v in naive_g):
+        global_agg = GlobalAggregatorSpec(kind="NL", gamma=gamma_g,
+                                          sim_map=sim_map)
+        if not _pooled_clear_of_zero(images, documents, global_agg):
             continue
-        naive_l = [_naive_local(bag, doc, gamma_l) for bag in bags]
         accepted += 1
 
-        for i, bag in enumerate(bags):
-            got_l = image_document_score(local_cfg, bag, doc).value
-            got_g = image_document_score(global_cfg, bag, doc).value
-            worst = max(worst, abs(got_l - naive_l[i]), abs(got_g - naive_g[i]))
+        naive_l, naive_g = oracles.score_tables(images, documents, local_agg,
+                                                global_agg, sentence_agg)
+        table_l, table_g = pairwise_score_tables(
+            images.reshape(-1, dim), n, documents.reshape(-1, dim), m,
+            local_agg, global_agg, sentence_agg)
+        worst = max(worst,
+                    float(np.max(np.abs(table_l.value - np.array(naive_l)))),
+                    float(np.max(np.abs(table_g.value - np.array(naive_g)))))
 
-        matched, mismatched = bags[0], list(bags[1:])
-        got_loss = combined_loss(local_cfg, global_cfg, doc, matched,
-                                 mismatched, gamma_c).value
-        want_loss = _naive_infonce(naive_l[0], naive_l[1:], gamma_c) \
-            + _naive_infonce(naive_g[0], naive_g[1:], gamma_c)
+        got_loss = infonce_score_table(table_l, gamma_c).value \
+            + infonce_score_table(table_g, gamma_c).value
+        want_loss = oracles.table_loss(naive_l, gamma_c) \
+            + oracles.table_loss(naive_g, gamma_c)
         worst = max(worst, abs(got_loss - want_loss))
     ok = worst <= 1e-10
     _verdict(5, "naive oracle equivalence, 100 instances", ok,

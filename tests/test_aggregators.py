@@ -1,5 +1,8 @@
 """Aggregator semantics: frozen small-case values, bounds, permutation
-invariance, and the frozen-selection rule of the nonlocal pooler."""
+invariance, and the frozen-selection rule of the nonlocal pooler. Local
+and sentence aggregators run in their axis form on one score vector;
+global poolers run inside the score table of one image and one
+document."""
 
 import math
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 import milalign.autodiff as ad
+import oracles
 from milalign.autodiff import ContractError, Var
 from milalign.aggregators import (
     GLOBAL_KINDS,
@@ -15,16 +19,42 @@ from milalign.aggregators import (
     GlobalAggregatorSpec,
     LocalAggregatorSpec,
     SentenceAggregatorSpec,
-    aggregate_global,
-    aggregate_local,
     aggregate_local_axis,
-    aggregate_sentences,
+    aggregate_sentences_axis,
     bind_global_spec,
     global_spec_from_dict,
     local_spec_from_dict,
     sentence_spec_from_dict,
     spec_to_dict,
 )
+from milalign.scoring import pairwise_score_tables
+
+
+def local_reduce(spec, scores):
+    return aggregate_local_axis(spec, scores, axis=0)
+
+
+def sentence_reduce(spec, scores):
+    return aggregate_sentences_axis(spec, scores, axis=0)
+
+
+def global_table(spec, images, sentences):
+    """g-route table of a (B, N, D) image batch against one document per
+    row of `sentences` (B_d, M, D); sentence scores averaged."""
+    bi, n, dim = images.shape
+    _, table = pairwise_score_tables(
+        images.reshape(-1, dim), n, sentences.reshape(-1, dim),
+        sentences.shape[1], None, spec, SentenceAggregatorSpec(kind="Avg"))
+    return table
+
+
+def unit(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def pooled_cosine(weights, bag, sentence):
+    """Cosine of the weighted pool of `bag` with `sentence`."""
+    return float(unit(weights @ bag) @ unit(sentence))
 
 
 def lse(scores, gamma):
@@ -48,19 +78,19 @@ def test_local_kind_validation():
 
 def test_local_max_sum_avg():
     scores = np.asarray([0.2, -0.4, 0.9])
-    assert aggregate_local(LocalAggregatorSpec(kind="Max"), scores).value == 0.9
-    assert abs(aggregate_local(LocalAggregatorSpec(kind="Sum"), scores).value
+    assert local_reduce(LocalAggregatorSpec(kind="Max"), scores).value == 0.9
+    assert abs(local_reduce(LocalAggregatorSpec(kind="Sum"), scores).value
                - 0.7) < 1e-15
-    assert abs(aggregate_local(LocalAggregatorSpec(kind="Avg"), scores).value
+    assert abs(local_reduce(LocalAggregatorSpec(kind="Avg"), scores).value
                - 0.7 / 3) < 1e-15
 
 
 def test_local_lse_frozen_values():
     spec1 = LocalAggregatorSpec(kind="LSE", gamma=1.0)
-    out = aggregate_local(spec1, np.asarray([1.0, 0.0]))
+    out = local_reduce(spec1, np.asarray([1.0, 0.0]))
     assert abs(out.value - 1.3132616875182228) < 1e-15
     spec01 = LocalAggregatorSpec(kind="LSE", gamma=0.1)
-    out = aggregate_local(spec01, np.asarray([1.0, 0.0]))
+    out = local_reduce(spec01, np.asarray([1.0, 0.0]))
     assert abs(out.value - 7.44396660073571) < 1e-12
 
 
@@ -70,7 +100,7 @@ def test_local_lse_bounds_random_sets():
         n = int(rng.integers(1, 9))
         scores = rng.uniform(-1.0, 1.0, size=n)
         gamma = float(rng.choice([0.1, 1.0, 5.0]))
-        out = aggregate_local(LocalAggregatorSpec(kind="LSE", gamma=gamma),
+        out = local_reduce(LocalAggregatorSpec(kind="LSE", gamma=gamma),
                               scores).value
         top = scores.max()
         assert out >= top - 1e-12
@@ -82,22 +112,22 @@ def test_local_lse_approaches_max_at_large_gamma():
     spec = LocalAggregatorSpec(kind="LSE", gamma=1000.0)
     for _ in range(50):
         scores = rng.uniform(-1.0, 1.0, size=6)
-        out = aggregate_local(spec, scores).value
+        out = local_reduce(spec, scores).value
         assert abs(out - scores.max()) <= math.log(6) / 1000.0 + 1e-12
 
 
 def test_local_nor_absorbing_and_neutral():
     spec = LocalAggregatorSpec(kind="NOR")
     # a certain instance (score 1) forces the bag to 1 regardless of the rest
-    assert aggregate_local(spec, np.asarray([1.0, 0.0])).value == 1.0
-    assert aggregate_local(spec, np.asarray([1.0, -1.0, 0.3])).value == 1.0
+    assert local_reduce(spec, np.asarray([1.0, 0.0])).value == 1.0
+    assert local_reduce(spec, np.asarray([1.0, -1.0, 0.3])).value == 1.0
     # two half-probability instances: 1 - 2 * 0.5 * 0.5
-    assert abs(aggregate_local(spec, np.asarray([0.0, 0.0])).value - 0.5) < 1e-15
+    assert abs(local_reduce(spec, np.asarray([0.0, 0.0])).value - 0.5) < 1e-15
     # p = 0.75 and 0.25: 1 - 2 * 0.25 * 0.75 = 0.625
-    assert abs(aggregate_local(spec, np.asarray([0.5, -0.5])).value
+    assert abs(local_reduce(spec, np.asarray([0.5, -0.5])).value
                - 0.625) < 1e-15
     # all-background bag stays at the lower end
-    assert aggregate_local(spec, np.asarray([-1.0, -1.0])).value == -1.0
+    assert local_reduce(spec, np.asarray([-1.0, -1.0])).value == -1.0
 
 
 def test_local_nor_matches_product_formula():
@@ -107,23 +137,23 @@ def test_local_nor_matches_product_formula():
         scores = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 7)))
         p = (scores + 1.0) / 2.0
         want = 1.0 - 2.0 * np.prod(1.0 - p)
-        assert abs(aggregate_local(spec, scores).value - want) < 1e-12
+        assert abs(local_reduce(spec, scores).value - want) < 1e-12
 
 
 def test_local_nand_endpoints_and_midpoint():
     spec = LocalAggregatorSpec(kind="NAND")
-    assert abs(aggregate_local(spec, np.asarray([1.0, 1.0])).value - 1.0) < 1e-15
-    assert abs(aggregate_local(spec, np.asarray([-1.0, -1.0])).value
+    assert abs(local_reduce(spec, np.asarray([1.0, 1.0])).value - 1.0) < 1e-15
+    assert abs(local_reduce(spec, np.asarray([-1.0, -1.0])).value
                + 1.0) < 1e-15
     # mean probability 0.5 sits exactly at the sigmoid center
-    assert abs(aggregate_local(spec, np.asarray([0.0, 0.0])).value) < 1e-15
-    assert abs(aggregate_local(spec, np.asarray([1.0, -1.0])).value) < 1e-15
+    assert abs(local_reduce(spec, np.asarray([0.0, 0.0])).value) < 1e-15
+    assert abs(local_reduce(spec, np.asarray([1.0, -1.0])).value) < 1e-15
 
 
 def test_local_nand_is_monotone_in_mean_score():
     spec = LocalAggregatorSpec(kind="NAND")
     grid = np.linspace(-1.0, 1.0, 21)
-    outs = [aggregate_local(spec, np.asarray([g, g])).value for g in grid]
+    outs = [local_reduce(spec, np.asarray([g, g])).value for g in grid]
     assert all(b > a for a, b in zip(outs, outs[1:]))
 
 
@@ -141,128 +171,157 @@ def test_local_aggregators_permutation_invariant():
         scores = rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 9)))
         perm = rng.permutation(scores.size)
         for spec in specs:
-            a = aggregate_local(spec, scores).value
-            b = aggregate_local(spec, scores[perm]).value
+            a = local_reduce(spec, scores).value
+            b = local_reduce(spec, scores[perm]).value
             assert abs(a - b) <= 1e-10
 
 
 def test_local_rejects_out_of_range_scores():
     with pytest.raises(ContractError):
-        aggregate_local(LocalAggregatorSpec(kind="Avg"), np.asarray([1.5]))
+        local_reduce(LocalAggregatorSpec(kind="Avg"), np.asarray([1.5]))
     with pytest.raises(ContractError):
-        aggregate_local(LocalAggregatorSpec(kind="Avg"), np.asarray([]))
+        local_reduce(LocalAggregatorSpec(kind="Avg"), np.asarray([]))
 
 
 def test_local_axis_matches_columnwise_loop():
     rng = np.random.default_rng(8)
     sm = rng.uniform(-1.0, 1.0, size=(5, 3))
-    for spec in [LocalAggregatorSpec(kind="LSE", gamma=0.1),
-                 LocalAggregatorSpec(kind="NOR")]:
+    for kind in LOCAL_KINDS:
+        spec = LocalAggregatorSpec(kind=kind, gamma=0.1 if kind == "LSE" else None)
         cols = aggregate_local_axis(spec, sm, axis=0).value
         for j in range(3):
-            want = aggregate_local(spec, sm[:, j]).value
-            assert abs(cols[j] - want) < 1e-12
+            assert abs(cols[j] - oracles.local(spec, sm[:, j])) < 1e-12
 
 
 def test_sentence_aggregators():
     s = np.asarray([0.1, 0.5, -0.2])
-    assert abs(aggregate_sentences(SentenceAggregatorSpec(kind="Avg"), s).value
+    assert abs(sentence_reduce(SentenceAggregatorSpec(kind="Avg"), s).value
                - s.mean()) < 1e-15
-    assert abs(aggregate_sentences(SentenceAggregatorSpec(kind="Sum"), s).value
+    assert abs(sentence_reduce(SentenceAggregatorSpec(kind="Sum"), s).value
                - s.sum()) < 1e-15
-    assert aggregate_sentences(SentenceAggregatorSpec(kind="Max"), s).value == 0.5
-    got = aggregate_sentences(SentenceAggregatorSpec(kind="LSE", gamma=2.0), s)
+    assert sentence_reduce(SentenceAggregatorSpec(kind="Max"), s).value == 0.5
+    got = sentence_reduce(SentenceAggregatorSpec(kind="LSE", gamma=2.0), s)
     assert abs(got.value - lse(s, 2.0)) < 1e-12
-    assert aggregate_sentences(SentenceAggregatorSpec(kind="Id"),
-                               np.asarray([0.3])).value == 0.3
+    assert sentence_reduce(SentenceAggregatorSpec(kind="Id"),
+                           np.asarray([0.3])).value == 0.3
     with pytest.raises(ContractError):
-        aggregate_sentences(SentenceAggregatorSpec(kind="Id"), s)
+        sentence_reduce(SentenceAggregatorSpec(kind="Id"), s)
 
 
 def test_global_avg_is_row_mean():
     rng = np.random.default_rng(10)
-    bag = rng.standard_normal((6, 4))
-    out = aggregate_global(GlobalAggregatorSpec(kind="Avg"), bag)
-    assert np.allclose(out.value, bag.mean(axis=0), atol=1e-14)
+    images = rng.standard_normal((3, 6, 4))
+    sentences = rng.standard_normal((2, 1, 4))
+    table = global_table(GlobalAggregatorSpec(kind="Avg"), images, sentences)
+    for j in range(3):
+        for i in range(2):
+            want = pooled_cosine(np.full(6, 1.0 / 6), images[j], sentences[i, 0])
+            assert abs(table.value[j, i] - want) < 1e-12
 
 
 def test_global_att_matches_naive_softmax_pool():
+    # every image of the batch is pooled with its own softmax over regions
     rng = np.random.default_rng(11)
-    bag = rng.standard_normal((5, 4))
+    images = rng.standard_normal((4, 5, 4))
+    sentences = rng.standard_normal((3, 1, 4))
     proj = rng.standard_normal((3, 4))
     vec = rng.standard_normal(3)
     spec = bind_global_spec(GlobalAggregatorSpec(kind="Att"),
                             att_proj=proj, att_vec=vec)
-    out = aggregate_global(spec, bag)
-    logits = np.tanh(bag @ proj.T) @ vec
-    w = np.exp(logits - logits.max())
-    w = w / w.sum()
-    assert np.allclose(out.value, w @ bag, atol=1e-12)
+    table = global_table(spec, images, sentences)
+    for j, bag in enumerate(images):
+        logits = np.tanh(bag @ proj.T) @ vec
+        w = np.exp(logits - logits.max())
+        w = w / w.sum()
+        for i in range(3):
+            want = pooled_cosine(w, bag, sentences[i, 0])
+            assert abs(table.value[j, i] - want) < 1e-12
 
 
 def test_global_att_requires_parameters():
-    with pytest.raises(ContractError):
-        aggregate_global(GlobalAggregatorSpec(kind="Att"), np.ones((2, 3)))
+    images = np.ones((1, 2, 3))
+    sentences = np.ones((1, 1, 3))
+    with pytest.raises(ContractError, match="att_proj and att_vec"):
+        global_table(GlobalAggregatorSpec(kind="Att"), images, sentences)
+    with pytest.raises(ContractError, match="att_proj must be"):
+        global_table(bind_global_spec(GlobalAggregatorSpec(kind="Att"),
+                                      att_proj=np.ones((2, 4)),
+                                      att_vec=np.ones(2)), images, sentences)
+    with pytest.raises(ContractError, match="att_vec length"):
+        global_table(bind_global_spec(GlobalAggregatorSpec(kind="Att"),
+                                      att_proj=np.ones((2, 3)),
+                                      att_vec=np.ones(3)), images, sentences)
 
 
 def test_global_nl_weights_follow_similarity_to_critical_region():
     rng = np.random.default_rng(12)
     bag = rng.standard_normal((6, 4))
-    scores = rng.uniform(-1.0, 1.0, size=6)
+    sentence = rng.standard_normal(4)
     amat = np.eye(4) + 0.01 * rng.standard_normal((4, 4))
     spec = bind_global_spec(
         GlobalAggregatorSpec(kind="NL", gamma=math.e), sim_map=amat)
-    out = aggregate_global(spec, bag, region_scores=scores)
-    k = int(np.argmax(scores))
+    table = global_table(spec, bag[None], sentence[None, None])
+    k = int(np.argmax(unit(bag) @ unit(sentence)))
     mapped = bag @ amat.T
     sims = mapped @ mapped[k]
     w = np.exp(math.e * (sims - sims.max()))
     w = w / w.sum()
-    assert np.allclose(out.value, w @ bag, atol=1e-12)
+    assert abs(table.value[0, 0] - pooled_cosine(w, bag, sentence)) < 1e-12
 
 
 def test_global_nl_selection_is_frozen():
-    # perturbing the top score moves nothing through the argmax itself:
-    # the gradient with respect to region_scores is exactly zero
+    # the critical region is picked by value: the sentences reach the NL
+    # score only through the final cosine, so their gradient is that of
+    # mean_j cos(pooled_j, s_j) with every pooled feature held fixed
     rng = np.random.default_rng(13)
-    bag = Var(rng.standard_normal((4, 3)))
-    scores = Var(np.asarray([0.1, 0.9, -0.2, 0.3]))
+    bag = rng.standard_normal((4, 3))
+    sentences = Var(rng.standard_normal((2, 3)))
     spec = bind_global_spec(
         GlobalAggregatorSpec(kind="NL", gamma=1.0), sim_map=np.eye(3))
-    pooled = aggregate_global(spec, bag, region_scores=scores)
-    ad.vsum(pooled).backward()
-    assert scores.grad is None or np.allclose(scores.grad, 0.0)
+    _, table = pairwise_score_tables(bag, 4, sentences, 2, None, spec,
+                                     SentenceAggregatorSpec(kind="Avg"))
+    ad.vsum(table).backward()
+    for j, s in enumerate(sentences.value):
+        k = int(np.argmax(unit(bag) @ unit(s)))
+        sims = bag @ bag[k]
+        w = np.exp(sims - sims.max())
+        p = (w / w.sum()) @ bag
+        c = float(unit(p) @ unit(s))
+        want = 0.5 * (p / (np.linalg.norm(p) * np.linalg.norm(s))
+                      - c * s / (s @ s))
+        assert np.allclose(sentences.grad[j], want, atol=1e-12)
 
 
 def test_global_nl_requires_scores_and_map():
-    spec = GlobalAggregatorSpec(kind="NL", gamma=1.0)
-    with pytest.raises(ContractError):
-        aggregate_global(spec, np.ones((2, 3)), region_scores=np.ones(2))
-    bound = bind_global_spec(spec, sim_map=np.eye(3))
-    with pytest.raises(ContractError):
-        aggregate_global(bound, np.ones((2, 3)))
+    images = np.ones((1, 2, 3))
+    sentences = np.ones((1, 1, 3))
+    with pytest.raises(ContractError, match="sim_map"):
+        global_table(GlobalAggregatorSpec(kind="NL", gamma=1.0), images,
+                     sentences)
+    with pytest.raises(ContractError, match="gamma"):
+        global_table(bind_global_spec(GlobalAggregatorSpec(kind="NL"),
+                                      sim_map=np.eye(3)), images, sentences)
 
 
 def test_global_ca_weights_by_cosine_to_condition():
     rng = np.random.default_rng(14)
     bag = rng.standard_normal((5, 4))
     cond = rng.standard_normal(4)
-    spec = GlobalAggregatorSpec(kind="CA")
-    out = aggregate_global(spec, bag, condition=cond)
-    u = bag / np.linalg.norm(bag, axis=1, keepdims=True)
-    logits = u @ (cond / np.linalg.norm(cond))
+    table = global_table(GlobalAggregatorSpec(kind="CA"), bag[None],
+                         cond[None, None])
+    logits = unit(bag) @ unit(cond)
     w = np.exp(logits - logits.max())
     w = w / w.sum()
-    assert np.allclose(out.value, w @ bag, atol=1e-12)
+    assert abs(table.value[0, 0] - pooled_cosine(w, bag, cond)) < 1e-12
 
 
 def test_global_ca_condition_scale_invariant():
     rng = np.random.default_rng(15)
-    bag = rng.standard_normal((5, 4))
-    cond = rng.standard_normal(4)
+    images = rng.standard_normal((2, 5, 4))
+    sentences = rng.standard_normal((3, 2, 4))
     spec = GlobalAggregatorSpec(kind="CA")
-    a = aggregate_global(spec, bag, condition=cond).value
-    b = aggregate_global(spec, bag, condition=100.0 * cond).value
+    a = global_table(spec, images, sentences).value
+    b = global_table(spec, images, 100.0 * sentences).value
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -270,15 +329,12 @@ def test_global_aggregators_permutation_invariant():
     rng = np.random.default_rng(16)
     for _ in range(30):
         n = int(rng.integers(2, 7))
-        bag = rng.standard_normal((n, 4))
-        cond = rng.standard_normal(4)
-        scores = rng.uniform(-1.0, 1.0, size=n)
-        # keep the argmax unique so the frozen selection is stable
-        scores[int(rng.integers(0, n))] = 0.999
-        perm = rng.permutation(n)
+        images = rng.standard_normal((2, n, 4))
+        sentences = rng.standard_normal((2, 2, 4))
         amat = np.eye(4) + 0.01 * rng.standard_normal((4, 4))
         proj = rng.standard_normal((4, 4))
         vec = rng.standard_normal(4)
+        permuted = np.stack([bag[rng.permutation(n)] for bag in images])
         specs = [
             GlobalAggregatorSpec(kind="Avg"),
             bind_global_spec(GlobalAggregatorSpec(kind="Att"),
@@ -288,10 +344,8 @@ def test_global_aggregators_permutation_invariant():
             GlobalAggregatorSpec(kind="CA"),
         ]
         for spec in specs:
-            a = aggregate_global(spec, bag, condition=cond,
-                                 region_scores=scores).value
-            b = aggregate_global(spec, bag[perm], condition=cond,
-                                 region_scores=scores[perm]).value
+            a = global_table(spec, images, sentences).value
+            b = global_table(spec, permuted, sentences).value
             assert np.max(np.abs(a - b)) <= 1e-10
 
 

@@ -113,6 +113,21 @@ def test_logsumexp_is_shift_stable():
     assert np.isclose(out2.value, -1000.0 + np.log(2.0))
 
 
+def test_logsumexp_frozen_pair():
+    # gamma 1 over {1, 0}: log(e + 1)
+    out = ad.logsumexp(np.asarray([1.0, 0.0]), 1.0)
+    assert abs(out.value - 1.3132616875182228) < 1e-15
+    # gamma 0.1 over {1, 0}: 10 log(e^0.1 + 1)
+    out = ad.logsumexp(np.asarray([1.0, 0.0]), 0.1)
+    assert abs(out.value - 7.44396660073571) < 1e-12
+
+
+def test_logsumexp_no_overflow():
+    out = ad.logsumexp(np.asarray([2000.0, 2000.0]), 1.0)
+    assert np.isfinite(out.value)
+    assert abs(out.value - (2000.0 + np.log(2.0))) < 1e-9
+
+
 def test_softmax_rows_sum_to_one_and_grad_is_centered():
     rng = np.random.default_rng(3)
     x = Var(rng.standard_normal(5))
@@ -128,6 +143,14 @@ def test_softmax_frozen_pair():
     p = ad.softmax(Var(np.asarray([1.0, 0.0])), 1.0, axis=0)
     assert np.allclose(p.value,
                        [0.7310585786300049, 0.2689414213699951], atol=1e-15)
+
+
+def test_softmax_sums_to_one_at_large_logits():
+    rng = np.random.default_rng(2)
+    for _ in range(30):
+        p = ad.softmax(rng.standard_normal(7) * 50, 1.0)
+        assert np.all(p.value >= 0.0)
+        assert abs(float(p.value.sum()) - 1.0) < 1e-15
 
 
 def test_concat_stack_roundtrip_gradients():

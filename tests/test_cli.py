@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline on a small corpus, plus the exit-code
 contract: 0 success, 1 validation/usage, 2 runtime failure."""
 
+import copy
+import dataclasses
 import json
 import os
 from types import SimpleNamespace
@@ -9,6 +11,7 @@ import pytest
 
 from milalign import cli
 from milalign.config import experiment_from_dict
+from milalign.synthgen import CorpusSpec
 
 SMALL = {
     "corpus": {"concepts": 4, "region_dim": 6, "sentence_dim": 6,
@@ -252,3 +255,85 @@ def test_ablate_bad_seeds_flag(pipeline, tmp_path, capsys):
                    "--seeds", "a,b", "--out", str(tmp_path)])
     assert rc == 1
     assert "comma-separated integers" in capsys.readouterr().err
+
+
+def test_ablate_refuses_epochs_inside_warmup(pipeline, tmp_path, capsys):
+    # 78 training documents at batch size 8: 9 batches per epoch, so one
+    # ablation epoch cannot leave a 9-step warmup
+    config = dict(SMALL, train=dict(SMALL["train"], warmup_steps=9))
+    config_path = tmp_path / "warm.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "abl"
+    rc = cli.main(["ablate", "--config", str(config_path),
+                   "--corpus", str(pipeline.corpus_path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ablation.epochs=1" in err
+    assert "9 batches per epoch" in err
+    assert "train.warmup_steps=9" in err
+    assert not out.exists()
+    # a zero-step schedule has no warmup to leave and still runs
+    config = dict(SMALL, train=dict(SMALL["train"], epochs=0),
+                  ablation={"seeds": [0], "epochs": None})
+    config_path.write_text(json.dumps(config))
+    rc = cli.main(["ablate", "--config", str(config_path),
+                   "--corpus", str(pipeline.corpus_path), "--out", str(out)])
+    assert rc == 0
+
+
+def _without(payload, dotted):
+    out = copy.deepcopy(payload)
+    *parents, last = dotted.split(".")
+    node = out
+    for key in parents:
+        node = node[key]
+    del node[last]
+    return out
+
+
+CHECKPOINT_FIELDS = (
+    "config", "config.model", "config.model.region_input_dim",
+    "config.model.sentence_input_dim", "config.model.hidden_dim",
+    "config.model.embed_dim", "config.local_agg.kind", "config.global_agg.kind",
+    "config.sentence_agg.kind", "config.batch_size", "config.sentences_per_bag",
+    "config.epochs", "config.peak_lr", "config.warmup_steps",
+    "config.weight_decay", "config.betas", "config.adam_eps",
+    "config.gamma_init", "config.seed", "params", "optimizer",
+    "optimizer.step", "optimizer.first_moment", "optimizer.second_moment",
+    "step",
+)
+
+
+@pytest.mark.parametrize("dotted", CHECKPOINT_FIELDS)
+def test_checkpoint_missing_field_exits_one(pipeline, tmp_path, capsys,
+                                            dotted):
+    payload = json.loads(pipeline.checkpoint_path.read_text())
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(_without(payload, dotted)))
+    rc = cli.main(["train", "--config", str(pipeline.config_path),
+                   "--corpus", str(pipeline.corpus_path),
+                   "--out", str(tmp_path / "run"), "--resume", str(bad)])
+    assert rc == 1
+    assert f"missing field {dotted}" in capsys.readouterr().err
+
+
+CORPUS_FIELDS = ("spec", "concept_bank", "concept_bank.seed",
+                 "concept_bank.region_prototypes",
+                 "concept_bank.sentence_prototypes",
+                 "concept_bank.modality_rotation") + tuple(
+    f"spec.{field.name}" for field in dataclasses.fields(CorpusSpec))
+
+
+@pytest.mark.parametrize("dotted", CORPUS_FIELDS)
+def test_corpus_header_missing_field_exits_one(pipeline, tmp_path, capsys,
+                                               dotted):
+    header, *documents = pipeline.corpus_path.read_text().splitlines()
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_text("\n".join(
+        [json.dumps(_without(json.loads(header), dotted))] + documents) + "\n")
+    rc = cli.main(["train", "--config", str(pipeline.config_path),
+                   "--corpus", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"missing field {dotted}" in err
+    assert "line 1" in err

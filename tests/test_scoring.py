@@ -1,68 +1,34 @@
 """Image-document scoring: cosine tables, both aggregation routes, and
-the batched score tables against a per-pair straight-line oracle."""
+the batched score tables against the straight-line oracles. A single
+image-document pair is a 1x1 call to pairwise_score_tables."""
 
 import math
 
 import numpy as np
 import pytest
 
-from milalign.autodiff import ContractError, Var
+import oracles
+from milalign.autodiff import ContractError
 from milalign.aggregators import (
+    LOCAL_KINDS,
+    SENTENCE_KINDS,
     GlobalAggregatorSpec,
     LocalAggregatorSpec,
     SentenceAggregatorSpec,
     bind_global_spec,
 )
-from milalign.scoring import (
-    ScoreFunctionConfig,
-    ScoreVector,
-    assemble_contrastive_scores,
-    image_document_score,
-    image_sentence_scores_global,
-    image_sentence_scores_local,
-    pairwise_score_tables,
-    score_matrix,
-)
+from milalign.scoring import pairwise_score_tables, score_matrix
+
+AVG = SentenceAggregatorSpec(kind="Avg")
 
 
-def naive_cosine(x, y):
-    return float(np.dot(x, y) / (np.linalg.norm(x) * np.linalg.norm(y)))
-
-
-def naive_local_score(regions, sentences, gamma_l):
-    """Straight-line reference: LSE per sentence column, then average."""
-    per_sentence = []
-    for m in range(sentences.shape[0]):
-        col = [naive_cosine(regions[n], sentences[m])
-               for n in range(regions.shape[0])]
-        per_sentence.append(
-            math.log(sum(math.exp(gamma_l * c) for c in col)) / gamma_l)
-    return sum(per_sentence) / len(per_sentence)
-
-
-def naive_nl_score(regions, sentences, amat, gamma_g):
-    """Straight-line reference for the nonlocal global route."""
-    per_sentence = []
-    for m in range(sentences.shape[0]):
-        col = np.asarray([naive_cosine(regions[n], sentences[m])
-                          for n in range(regions.shape[0])])
-        k = int(np.argmax(col))
-        mapped = regions @ amat.T
-        sims = mapped @ mapped[k]
-        w = np.exp(gamma_g * (sims - sims.max()))
-        w = w / w.sum()
-        pooled = w @ regions
-        per_sentence.append(naive_cosine(pooled, sentences[m]))
-    return sum(per_sentence) / len(per_sentence)
-
-
-def test_config_validation():
-    with pytest.raises(ContractError):
-        ScoreFunctionConfig(mode="both")
-    with pytest.raises(ContractError):
-        ScoreFunctionConfig(mode="local")
-    with pytest.raises(ContractError):
-        ScoreFunctionConfig(mode="global")
+def pair_score(regions, sentences, local_agg=None, global_agg=None,
+               sentence_agg=AVG):
+    """The enabled route's score of one image against one document."""
+    table_l, table_g = pairwise_score_tables(
+        regions, regions.shape[0], sentences, sentences.shape[0],
+        local_agg, global_agg, sentence_agg)
+    return float((table_l if table_g is None else table_g).value[0, 0])
 
 
 def test_score_matrix_is_pairwise_cosine():
@@ -73,7 +39,7 @@ def test_score_matrix_is_pairwise_cosine():
     assert sm.shape == (4, 3)
     for n in range(4):
         for m in range(3):
-            assert abs(sm[n, m] - naive_cosine(regions[n], sentences[m])) < 1e-12
+            assert abs(sm[n, m] - oracles.cos(regions[n], sentences[m])) < 1e-12
     assert sm.min() >= -1.0 and sm.max() <= 1.0
 
 
@@ -86,14 +52,12 @@ def test_score_matrix_dimension_mismatch():
 
 def test_local_route_matches_naive():
     rng = np.random.default_rng(1)
-    config = ScoreFunctionConfig(
-        mode="local",
-        local_agg=LocalAggregatorSpec(kind="LSE", gamma=0.1))
+    local_agg = LocalAggregatorSpec(kind="LSE", gamma=0.1)
     for _ in range(20):
         regions = rng.standard_normal((int(rng.integers(2, 6)), 4))
         sentences = rng.standard_normal((int(rng.integers(1, 4)), 4))
-        got = image_document_score(config, regions, sentences).value
-        want = naive_local_score(regions, sentences, 0.1)
+        got = pair_score(regions, sentences, local_agg=local_agg)
+        want, _ = oracles.pair_scores(regions, sentences, local_agg, None, AVG)
         assert abs(got - want) < 1e-10
 
 
@@ -103,12 +67,10 @@ def test_global_nl_route_matches_naive():
         regions = rng.standard_normal((int(rng.integers(2, 6)), 4))
         sentences = rng.standard_normal((int(rng.integers(1, 4)), 4))
         amat = np.eye(4) + 0.05 * rng.standard_normal((4, 4))
-        config = ScoreFunctionConfig(
-            mode="global",
-            global_agg=bind_global_spec(
-                GlobalAggregatorSpec(kind="NL", gamma=math.e), sim_map=amat))
-        got = image_document_score(config, regions, sentences).value
-        want = naive_nl_score(regions, sentences, amat, math.e)
+        spec = bind_global_spec(GlobalAggregatorSpec(kind="NL", gamma=math.e),
+                                sim_map=amat)
+        got = pair_score(regions, sentences, global_agg=spec)
+        _, want = oracles.pair_scores(regions, sentences, None, spec, AVG)
         assert abs(got - want) < 1e-10
 
 
@@ -116,120 +78,96 @@ def test_global_avg_route_matches_pooled_cosine():
     rng = np.random.default_rng(3)
     regions = rng.standard_normal((5, 4))
     sentences = rng.standard_normal((3, 4))
-    config = ScoreFunctionConfig(
-        mode="global", global_agg=GlobalAggregatorSpec(kind="Avg"))
-    got = image_document_score(config, regions, sentences).value
+    got = pair_score(regions, sentences,
+                     global_agg=GlobalAggregatorSpec(kind="Avg"))
     pooled = regions.mean(axis=0)
-    want = np.mean([naive_cosine(pooled, s) for s in sentences])
+    want = np.mean([oracles.cos(pooled, s) for s in sentences])
     assert abs(got - want) < 1e-12
 
 
 def test_score_is_permutation_invariant_both_routes():
     rng = np.random.default_rng(4)
-    local = ScoreFunctionConfig(
-        mode="local", local_agg=LocalAggregatorSpec(kind="LSE", gamma=0.1))
+    local = LocalAggregatorSpec(kind="LSE", gamma=0.1)
     for _ in range(30):
         regions = rng.standard_normal((5, 4))
         sentences = rng.standard_normal((3, 4))
         amat = np.eye(4) + 0.05 * rng.standard_normal((4, 4))
-        nl = ScoreFunctionConfig(
-            mode="global",
-            global_agg=bind_global_spec(
-                GlobalAggregatorSpec(kind="NL", gamma=1.0), sim_map=amat))
+        nl = bind_global_spec(GlobalAggregatorSpec(kind="NL", gamma=1.0),
+                              sim_map=amat)
         rp = rng.permutation(5)
         sp = rng.permutation(3)
-        for config in (local, nl):
-            a = image_document_score(config, regions, sentences).value
-            b = image_document_score(config, regions[rp], sentences[sp]).value
+        for routes in ({"local_agg": local}, {"global_agg": nl}):
+            a = pair_score(regions, sentences, **routes)
+            b = pair_score(regions[rp], sentences[sp], **routes)
             assert abs(a - b) <= 1e-10
 
 
 def test_per_sentence_helpers_agree_with_full_score():
+    # a document's score is its sentence aggregator applied to the
+    # single-sentence scores, each a 1x1 table under Id
     rng = np.random.default_rng(5)
     regions = rng.standard_normal((4, 3))
     sentences = rng.standard_normal((2, 3))
-    sm = score_matrix(regions, sentences)
-    local_agg = LocalAggregatorSpec(kind="Max")
-    per = image_sentence_scores_local(local_agg, sm).value
-    assert per.shape == (2,)
-    assert np.allclose(per, sm.value.max(axis=0), atol=1e-14)
-    glob = GlobalAggregatorSpec(kind="CA")
-    per_g = image_sentence_scores_global(glob, regions, sentences).value
-    assert per_g.shape == (2,)
+    identity = SentenceAggregatorSpec(kind="Id")
+    for routes in ({"local_agg": LocalAggregatorSpec(kind="Max")},
+                   {"global_agg": GlobalAggregatorSpec(kind="CA")}):
+        per = [pair_score(regions, sentences[j:j + 1], sentence_agg=identity,
+                          **routes) for j in range(2)]
+        mean = pair_score(regions, sentences, **routes)
+        top = pair_score(regions, sentences,
+                         sentence_agg=SentenceAggregatorSpec(kind="Max"),
+                         **routes)
+        assert abs(mean - sum(per) / 2) < 1e-14
+        assert abs(top - max(per)) < 1e-14
+    sm = score_matrix(regions, sentences).value
+    per = [pair_score(regions, sentences[j:j + 1], sentence_agg=identity,
+                      local_agg=LocalAggregatorSpec(kind="Max"))
+           for j in range(2)]
+    assert np.allclose(per, sm.max(axis=0), atol=1e-14)
 
 
-def test_score_vector_validation():
-    with pytest.raises(ContractError):
-        ScoreVector(positive=Var(np.ones(2)), negatives=Var(np.ones(3)))
-    with pytest.raises(ContractError):
-        ScoreVector(positive=Var(np.asarray(0.5)), negatives=Var(np.ones(0)))
-
-
-def test_assemble_contrastive_scores_orders_negatives():
-    rng = np.random.default_rng(6)
-    config = ScoreFunctionConfig(
-        mode="local", local_agg=LocalAggregatorSpec(kind="Avg"))
-    doc = rng.standard_normal((2, 3))
-    matched = rng.standard_normal((4, 3))
-    mism = [rng.standard_normal((4, 3)) for _ in range(3)]
-    sv = assemble_contrastive_scores(config, doc, matched, mism)
-    assert sv.negatives.value.shape == (3,)
-    want_pos = image_document_score(config, matched, doc).value
-    assert abs(sv.positive.value - want_pos) < 1e-14
-    for k, bag in enumerate(mism):
-        want = image_document_score(config, bag, doc).value
-        assert abs(sv.negatives.value[k] - want) < 1e-14
-    with pytest.raises(ContractError):
-        assemble_contrastive_scores(config, doc, matched, [])
-
-
-def batched_vs_pairs(local_agg, global_agg, sentence_agg, rng,
-                     bi=3, bd=3, n=4, m=2, dim=3):
-    regions = rng.standard_normal((bi * n, dim))
-    sentences = rng.standard_normal((bd * m, dim))
-    table_l, table_g = pairwise_score_tables(
-        regions, n, sentences, m, local_agg, global_agg, sentence_agg)
-    for table, mode, agg in ((table_l, "local", local_agg),
-                             (table_g, "global", global_agg)):
-        if agg is None:
+def batched_vs_oracle(local_agg, global_agg, sentence_agg, rng,
+                      bi=3, bd=3, n=4, m=2, dim=3):
+    images = rng.standard_normal((bi, n, dim))
+    documents = rng.standard_normal((bd, m, dim))
+    tables = pairwise_score_tables(
+        images.reshape(-1, dim), n, documents.reshape(-1, dim), m,
+        local_agg, global_agg, sentence_agg)
+    wants = oracles.score_tables(images, documents, local_agg, global_agg,
+                                 sentence_agg)
+    for table, want in zip(tables, wants):
+        if want is None:
             assert table is None
             continue
-        config = (ScoreFunctionConfig(mode="local", local_agg=agg,
-                                      sentence_agg=sentence_agg)
-                  if mode == "local" else
-                  ScoreFunctionConfig(mode="global", global_agg=agg,
-                                      sentence_agg=sentence_agg))
         assert table.value.shape == (bi, bd)
-        for j in range(bi):
-            for i in range(bd):
-                want = image_document_score(
-                    config, regions[j * n:(j + 1) * n],
-                    sentences[i * m:(i + 1) * m]).value
-                assert abs(table.value[j, i] - want) < 1e-10
+        assert np.max(np.abs(table.value - np.array(want))) < 1e-10
 
 
 def test_pairwise_tables_match_per_pair_scores():
     rng = np.random.default_rng(7)
-    sentence_agg = SentenceAggregatorSpec(kind="Avg")
     amat = np.eye(3) + 0.05 * rng.standard_normal((3, 3))
     proj = rng.standard_normal((3, 3))
     vec = rng.standard_normal(3)
-    combos = [
-        (LocalAggregatorSpec(kind="LSE", gamma=0.1), None),
-        (LocalAggregatorSpec(kind="Max"), None),
-        (LocalAggregatorSpec(kind="NOR"), None),
-        (None, GlobalAggregatorSpec(kind="Avg")),
-        (None, bind_global_spec(GlobalAggregatorSpec(kind="Att"),
-                                att_proj=proj, att_vec=vec)),
-        (None, bind_global_spec(GlobalAggregatorSpec(kind="NL", gamma=math.e),
-                                sim_map=amat)),
-        (None, GlobalAggregatorSpec(kind="CA")),
-        (LocalAggregatorSpec(kind="LSE", gamma=0.1),
-         bind_global_spec(GlobalAggregatorSpec(kind="NL", gamma=math.e),
-                          sim_map=amat)),
+    local_specs = [LocalAggregatorSpec(kind=k, gamma=0.1 if k == "LSE" else None)
+                   for k in LOCAL_KINDS]
+    global_specs = [
+        GlobalAggregatorSpec(kind="Avg"),
+        bind_global_spec(GlobalAggregatorSpec(kind="Att"),
+                         att_proj=proj, att_vec=vec),
+        bind_global_spec(GlobalAggregatorSpec(kind="NL", gamma=math.e),
+                         sim_map=amat),
+        GlobalAggregatorSpec(kind="CA"),
     ]
-    for local_agg, global_agg in combos:
-        batched_vs_pairs(local_agg, global_agg, sentence_agg, rng)
+    for kind in SENTENCE_KINDS:
+        sentence_agg = SentenceAggregatorSpec(
+            kind=kind, gamma=2.0 if kind == "LSE" else None)
+        m = 1 if kind == "Id" else 2
+        for local_agg in local_specs:
+            batched_vs_oracle(local_agg, None, sentence_agg, rng, m=m)
+        for global_agg in global_specs:
+            batched_vs_oracle(None, global_agg, sentence_agg, rng, m=m)
+            batched_vs_oracle(local_specs[3], global_agg, sentence_agg, rng,
+                              m=m)
 
 
 def test_pairwise_tables_validate_bag_sizes():

@@ -1,4 +1,4 @@
-"""Training loop: schedule, optimizer, batched loss vs per-pair assembly,
+"""Training loop: schedule, optimizer, batched loss vs straight-line oracles,
 determinism, checkpointing, and failure reporting."""
 
 import dataclasses
@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from milalign.autodiff import ContractError, Var
 from milalign.aggregators import (
     GlobalAggregatorSpec,
@@ -15,14 +16,12 @@ from milalign.aggregators import (
 )
 from milalign.encoders import (
     ModelConfig,
-    encode_bag,
     flatten_params,
     init_model,
     param_count,
     unflatten_params,
 )
-from milalign.objective import Temperature, combined_loss
-from milalign.scoring import ScoreFunctionConfig
+from milalign.evaluation import default_grid
 from milalign.synthgen import CorpusSpec, SyntheticDocument, generate_corpus
 from milalign.trainer import (
     NonFiniteLossError,
@@ -236,33 +235,42 @@ def test_adamw_shape_checks():
 
 
 def test_batch_loss_matches_per_pair_assembly():
+    # every grid row's loss against the straight-line oracles: numpy
+    # encoders, one pure-Python score per image-document pair, and the
+    # per-document loss averaged over the batch
     corpus = tiny_corpus()
-    config = tiny_config()
     rng = np.random.default_rng(3)
-    batch = sample_batch(corpus, config, rng)
-    params0 = init_model(config.model, config.gamma_init, 0)
-    flat = flatten_params(config.model, params0)
+    for entry in default_grid():
+        kind = entry.global_agg.kind if entry.global_agg else None
+        config = tiny_config(
+            model=dataclasses.replace(tiny_config().model,
+                                      use_nl=kind == "NL", use_att=kind == "Att"),
+            local_agg=entry.local_agg, global_agg=entry.global_agg)
+        batch = sample_batch(corpus, config, rng)
+        flat = flatten_params(config.model,
+                              init_model(config.model, config.gamma_init, 0))
+        got = batch_loss(config, flat, batch).value
 
-    got = batch_loss(config, flat, batch).value
+        params = unflatten_params(config.model, flat)
+        global_spec = None
+        if kind is not None:
+            global_spec = bind_global_spec(
+                entry.global_agg, sim_map=params.sim_map,
+                att_proj=params.att_proj, att_vec=params.att_vec)
 
-    params = unflatten_params(config.model, flat)
-    gspec = bind_global_spec(config.global_agg, sim_map=params.sim_map)
-    local_cfg = ScoreFunctionConfig("local", local_agg=config.local_agg,
-                                    sentence_agg=config.sentence_agg)
-    global_cfg = ScoreFunctionConfig("global", global_agg=gspec,
-                                     sentence_agg=config.sentence_agg)
-    temp = Temperature(log_gamma=params.log_gamma)
-    feats = [encode_bag(params.region_encoder,
-                        item.document.region_observations) for item in batch]
-    docs = [encode_bag(params.sentence_encoder, item.sentence_bag)
-            for item in batch]
-    total = 0.0
-    for i in range(len(batch)):
-        mism = [feats[j] for j in range(len(batch)) if j != i]
-        total += combined_loss(local_cfg, global_cfg, docs[i], feats[i],
-                               mism, temp).value
-    want = total / len(batch)
-    assert abs(got - want) < 1e-12
+        def encode(enc, obs):
+            return np.tanh(obs @ enc.W1.T + enc.b1) @ enc.W2.T + enc.b2
+
+        images = [encode(params.region_encoder,
+                         item.document.region_observations) for item in batch]
+        documents = [encode(params.sentence_encoder, item.sentence_bag)
+                     for item in batch]
+        gamma = math.exp(float(params.log_gamma))
+        want = sum(oracles.table_loss(table, gamma) for table in
+                   oracles.score_tables(images, documents, entry.local_agg,
+                                        global_spec, config.sentence_agg)
+                   if table is not None)
+        assert abs(got - want) < 1e-12, entry.name
 
 
 def test_batch_loss_needs_two_documents():
@@ -417,6 +425,9 @@ def test_load_checkpoint_validation(tmp_path):
     with pytest.raises(ContractError, match="sampler state"):
         load_checkpoint(dump({k: v for k, v in payload.items()
                               if k != "rng"}, "norng.json"))
+    with pytest.raises(ContractError, match="sampler state"):
+        load_checkpoint(dump({**payload, "rng": {"bit_generator": "PCG64"}},
+                             "badrng.json"))
     with pytest.raises(ContractError, match="layout"):
         load_checkpoint(dump({**payload,
                               "param_order": payload["param_order"][::-1]},
