@@ -72,9 +72,9 @@ class GlobalAggregatorSpec:
     def __post_init__(self):
         if self.kind not in GLOBAL_KINDS:
             raise ContractError(f"unknown global aggregator kind: {self.kind!r}")
-        if self.kind == "NL" and self.gamma is not None:
-            if not np.isfinite(self.gamma) or self.gamma < 0.0:
-                raise ContractError("NL gamma must be finite and >= 0")
+        if self.kind == "NL":
+            if self.gamma is None or not np.isfinite(self.gamma) or self.gamma < 0.0:
+                raise ContractError("global NL requires a finite gamma >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,21 @@ def spec_to_dict(spec) -> dict | None:
     return d
 
 
+def _optional_float(d: dict, key: str, path: str, default=None):
+    if d.get(key) is None:
+        return default
+    return jsonio.require_float(d, key, path)
+
+
 def local_spec_from_dict(d: dict | None,
                          path: str = "local_agg") -> LocalAggregatorSpec | None:
     if d is None:
         return None
     return LocalAggregatorSpec(
         kind=jsonio.require(d, "kind", path),
-        gamma=d.get("gamma"),
-        nand_slope=d.get("nand_slope", 10.0),
-        nand_offset=d.get("nand_offset", 0.5),
+        gamma=_optional_float(d, "gamma", path),
+        nand_slope=_optional_float(d, "nand_slope", path, 10.0),
+        nand_offset=_optional_float(d, "nand_offset", path, 0.5),
     )
 
 
@@ -120,8 +126,11 @@ def global_spec_from_dict(d: dict | None,
                           path: str = "global_agg") -> GlobalAggregatorSpec | None:
     if d is None:
         return None
-    return GlobalAggregatorSpec(kind=jsonio.require(d, "kind", path),
-                                gamma=d.get("gamma"))
+    kind = jsonio.require(d, "kind", path)
+    if kind == "NL":
+        return GlobalAggregatorSpec(kind=kind,
+                                    gamma=jsonio.require_float(d, "gamma", path))
+    return GlobalAggregatorSpec(kind=kind, gamma=_optional_float(d, "gamma", path))
 
 
 def sentence_spec_from_dict(d: dict | None,
@@ -129,7 +138,7 @@ def sentence_spec_from_dict(d: dict | None,
     if d is None:
         return SentenceAggregatorSpec(kind="Avg")
     return SentenceAggregatorSpec(kind=jsonio.require(d, "kind", path),
-                                  gamma=d.get("gamma"))
+                                  gamma=_optional_float(d, "gamma", path))
 
 
 def bind_global_spec(spec: GlobalAggregatorSpec, sim_map=None, att_proj=None,

@@ -3,7 +3,9 @@
 Every operation computes its forward value eagerly and records a rule
 mapping the output cotangent back to input cotangents; `Var.backward`
 replays the rules in reverse topological order. The operation set is
-exactly what the scoring and training pipeline needs. Values are plain
+exactly what the scoring and training pipeline needs; `matmul` and
+`transpose` also take (B, ., .) stacks, so a batch of per-image matrix
+products is one tape node rather than a loop of them. Values are plain
 numpy arrays (scalars are 0-d), reductions keep numpy's fixed evaluation
 order, and nothing here mutates a stored value, so repeated runs on the
 same inputs are bit-identical.
@@ -196,10 +198,23 @@ def sigmoid(x):
 
 
 def matmul(a, b) -> Var:
+    """Matrix product of 1-D/2-D operands, or of two (B, ., .) stacks
+    multiplied slice by slice."""
     av, bv = as_var(a), as_var(b)
     x, y = av.value, bv.value
+    if x.ndim == 3 or y.ndim == 3:
+        if x.ndim != 3 or y.ndim != 3 or x.shape[0] != y.shape[0]:
+            raise ContractError("batched matmul needs two 3-D operands with "
+                                "equal leading axes")
+        out = np.matmul(x, y)
+
+        def vjp3(g):
+            g = np.asarray(g, dtype=np.float64)
+            return g @ np.swapaxes(y, 1, 2), np.swapaxes(x, 1, 2) @ g
+
+        return Var(out, (av, bv), vjp3)
     if x.ndim == 0 or y.ndim == 0 or x.ndim > 2 or y.ndim > 2:
-        raise ContractError("matmul supports 1-D and 2-D operands only")
+        raise ContractError("matmul supports 1-D, 2-D and paired 3-D operands")
     out = x @ y
 
     def vjp(g):
@@ -343,37 +358,6 @@ def softmax(x, scale: float = 1.0, axis: int = 0) -> Var:
     return Var(w, (xv,), vjp)
 
 
-def concat(xs, axis: int = 0) -> Var:
-    vs = [as_var(x) for x in xs]
-    if not vs:
-        raise ContractError("concat of an empty list")
-    out = np.concatenate([v.value for v in vs], axis=axis)
-    sizes = [v.value.shape[axis] for v in vs]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        g = np.asarray(g, dtype=np.float64)
-        gm = np.moveaxis(g, axis, 0)
-        return tuple(
-            np.moveaxis(gm[offsets[i]:offsets[i + 1]], 0, axis) for i in range(len(vs))
-        )
-
-    return Var(out, tuple(vs), vjp)
-
-
-def stack(xs, axis: int = 0) -> Var:
-    vs = [as_var(x) for x in xs]
-    if not vs:
-        raise ContractError("stack of an empty list")
-    out = np.stack([v.value for v in vs], axis=axis)
-
-    def vjp(g):
-        g = np.asarray(g, dtype=np.float64)
-        return tuple(np.take(g, i, axis=axis) for i in range(len(vs)))
-
-    return Var(out, tuple(vs), vjp)
-
-
 def reshape(x, shape) -> Var:
     xv = as_var(x)
     val = xv.value
@@ -386,32 +370,16 @@ def reshape(x, shape) -> Var:
 
 
 def transpose(x) -> Var:
+    """Swap the last two axes of a 2-D matrix or a (B, ., .) stack."""
     xv = as_var(x)
-    if xv.value.ndim != 2:
-        raise ContractError("transpose expects a 2-D operand")
+    if xv.value.ndim not in (2, 3):
+        raise ContractError("transpose expects a 2-D or 3-D operand")
     val = xv.value
 
     def vjp(g):
-        return (np.asarray(g, dtype=np.float64).T,)
+        return (np.swapaxes(np.asarray(g, dtype=np.float64), -1, -2),)
 
-    return Var(val.T, (xv,), vjp)
-
-
-def take(x, indices, axis: int) -> Var:
-    """Gather along an axis with integer indices (repeats allowed)."""
-    xv = as_var(x)
-    val = xv.value
-    idx = np.asarray(indices, dtype=np.intp)
-    out = np.take(val, idx, axis=axis)
-
-    def vjp(g):
-        z = np.zeros_like(val)
-        zm = np.moveaxis(z, axis, 0)
-        gm = np.moveaxis(np.asarray(g, dtype=np.float64), axis, 0)
-        np.add.at(zm, idx, gm)
-        return (z,)
-
-    return Var(out, (xv,), vjp)
+    return Var(np.swapaxes(val, -1, -2), (xv,), vjp)
 
 
 def _basic_key(key) -> bool:
@@ -422,7 +390,7 @@ def _basic_key(key) -> bool:
 def getitem(x, key) -> Var:
     xv = as_var(x)
     if not _basic_key(key):
-        raise ContractError("getitem supports int and slice keys; use take for gathers")
+        raise ContractError("getitem supports int and slice keys only")
     val = xv.value
     out = val[key]
 

@@ -23,7 +23,7 @@ from .aggregators import (
 )
 from .encoders import ModelConfig
 from .synthgen import CorpusSpec
-from .trainer import TrainConfig
+from .trainer import TrainConfig, read_betas
 
 _AGG_PATHS = ("train.local_agg", "train.global_agg", "train.sentence_agg")
 _AGG_KEYS = {
@@ -104,19 +104,10 @@ def _check_agg(value, path: str) -> None:
 
 
 def _require_int(section: dict, name: str, path: str, minimum=None) -> int:
-    value = section[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ContractError(f"{path}.{name} must be an integer")
+    value = jsonio.require_int(section, name, path)
     if minimum is not None and value < minimum:
         raise ContractError(f"{path}.{name} must be >= {minimum}")
     return value
-
-
-def _require_number(section: dict, name: str, path: str) -> float:
-    value = section[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ContractError(f"{path}.{name} must be a number")
-    return float(value)
 
 
 @dataclass(eq=False)
@@ -155,7 +146,7 @@ def experiment_from_dict(data: dict) -> ExperimentConfig:
     for name in _CORPUS_INT_FIELDS:
         _require_int(corpus_raw, name, "corpus")
     for name in _CORPUS_FLOAT_FIELDS:
-        _require_number(corpus_raw, name, "corpus")
+        jsonio.require_float(corpus_raw, name, "corpus")
     corpus = CorpusSpec(**corpus_raw)
 
     model_raw = merged["model"]
@@ -163,9 +154,11 @@ def experiment_from_dict(data: dict) -> ExperimentConfig:
     embed = _require_int(model_raw, "embed_dim", "model", minimum=1)
 
     train_raw = merged["train"]
-    local_agg = local_spec_from_dict(train_raw["local_agg"])
-    global_agg = global_spec_from_dict(train_raw["global_agg"])
-    sentence_agg = sentence_spec_from_dict(train_raw["sentence_agg"])
+    local_agg = local_spec_from_dict(train_raw["local_agg"], "train.local_agg")
+    global_agg = global_spec_from_dict(train_raw["global_agg"],
+                                       "train.global_agg")
+    sentence_agg = sentence_spec_from_dict(train_raw["sentence_agg"],
+                                           "train.sentence_agg")
     model = ModelConfig(
         region_input_dim=corpus.region_dim,
         sentence_input_dim=corpus.sentence_dim,
@@ -182,12 +175,12 @@ def experiment_from_dict(data: dict) -> ExperimentConfig:
         batch_size=_require_int(train_raw, "batch_size", "train"),
         sentences_per_bag=_require_int(train_raw, "sentences_per_bag", "train"),
         epochs=_require_int(train_raw, "epochs", "train"),
-        peak_lr=_require_number(train_raw, "peak_lr", "train"),
+        peak_lr=jsonio.require_float(train_raw, "peak_lr", "train"),
         warmup_steps=_require_int(train_raw, "warmup_steps", "train"),
-        weight_decay=_require_number(train_raw, "weight_decay", "train"),
-        betas=tuple(float(b) for b in train_raw["betas"]),
-        adam_eps=_require_number(train_raw, "adam_eps", "train"),
-        gamma_init=_require_number(train_raw, "gamma_init", "train"),
+        weight_decay=jsonio.require_float(train_raw, "weight_decay", "train"),
+        betas=read_betas(train_raw, "train"),
+        adam_eps=jsonio.require_float(train_raw, "adam_eps", "train"),
+        gamma_init=jsonio.require_float(train_raw, "gamma_init", "train"),
         seed=_require_int(train_raw, "seed", "train"),
     )
 

@@ -44,7 +44,7 @@ class ModelConfig:
 def model_config_from_dict(d: dict, path: str = "model") -> ModelConfig:
     for key in ("region_input_dim", "sentence_input_dim", "hidden_dim",
                 "embed_dim"):
-        jsonio.require(d, key, path)
+        jsonio.require_int(d, key, path)
     return ModelConfig(**d)
 
 

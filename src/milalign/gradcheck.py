@@ -1,9 +1,10 @@
 """Finite-difference verification suite for the scoring and training path.
 
 Each named case draws random instances of one differentiable operation
-(an aggregator, a 1x1 score table, the table loss, or the full training
-loss of one grid row), wraps it as a scalar function of a flat parameter
-vector, and compares the analytic gradient against central differences.
+(an aggregator, a 2x2 score table, the table loss, or the full training
+loss of one grid row or of LSE+CA), wraps it as a scalar function of a
+flat parameter vector, and compares the analytic gradient against
+central differences.
 Operations with frozen selections (Max, the NL critical region) resample
 until the selection has enough margin that the probe steps cannot flip
 it; the kink would otherwise make the numeric gradient meaningless.
@@ -30,7 +31,7 @@ from .aggregators import (
 )
 from .encoders import EncoderParams, ModelConfig, encode_bag, flatten_params, \
     init_model, unflatten_params
-from .evaluation import default_grid
+from .evaluation import GridEntry, default_grid
 from .objective import Temperature, infonce_score_table
 from .scoring import pairwise_score_tables
 from .trainer import BatchItem, TrainConfig, batch_loss
@@ -143,15 +144,23 @@ def _sentence_case(kind, **kwargs):
     return case
 
 
+_GLOBAL_IMAGES = 2
+_GLOBAL_DOCUMENTS = 2
+
+
 def _global_case(kind):
-    """The global route's 1x1 score table of one image and one document."""
+    """The global route's score table of two images against two documents,
+    reduced to a scalar with fixed random weights, so the batch axis of
+    every pooling op carries gradient."""
     def case(rng):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, 3))
         dim = int(rng.integers(3, 5))
-        base = _draw(rng, lambda r: r.normal(0.0, 1.0, (n + m) * dim),
-                     lambda p: _table_ok(p[:n * dim].reshape(n, dim),
-                                         p[n * dim:].reshape(m, dim), n, 0.5))
+        rows, cols = _GLOBAL_IMAGES * n, _GLOBAL_DOCUMENTS * m
+        base = _draw(rng, lambda r: r.normal(0.0, 1.0, (rows + cols) * dim),
+                     lambda p: _table_ok(p[:rows * dim].reshape(rows, dim),
+                                         p[rows * dim:].reshape(cols, dim), n,
+                                         0.5))
         if kind == "Att":
             extra = rng.normal(0.0, 0.5, dim * dim + dim)
         elif kind == "NL":
@@ -159,9 +168,12 @@ def _global_case(kind):
         else:
             extra = np.zeros(0)
         point = np.concatenate([base, extra])
+        mix = as_constant(rng.normal(0.0, 1.0,
+                                     (_GLOBAL_IMAGES, _GLOBAL_DOCUMENTS)))
 
         def f(leaf):
-            bag, sentences, params = _split(leaf, [n * dim, m * dim, extra.size])
+            bags, sentences, params = _split(leaf, [rows * dim, cols * dim,
+                                                    extra.size])
             spec = GlobalAggregatorSpec(
                 kind=kind, gamma=math.e if kind == "NL" else None)
             if kind == "Att":
@@ -171,9 +183,10 @@ def _global_case(kind):
             elif kind == "NL":
                 spec = bind_global_spec(spec, sim_map=ad.reshape(params, (dim, dim)))
             _, table = pairwise_score_tables(
-                ad.reshape(bag, (n, dim)), n, ad.reshape(sentences, (m, dim)), m,
+                ad.reshape(bags, (rows, dim)), n,
+                ad.reshape(sentences, (cols, dim)), m,
                 None, spec, SentenceAggregatorSpec(kind="Avg"))
-            return ad.reshape(table, ())
+            return ad.vsum(ad.mul(table, mix), axis=None)
 
         return f, point
 
@@ -237,6 +250,13 @@ def _batch_loss_case(entry):
     return case
 
 
+# CA is outside the paper's grid; its row checks CA's softmax sharing the
+# cosine table with the local route.
+_CA_ENTRY = GridEntry("LSE+CA",
+                      local_agg=LocalAggregatorSpec(kind="LSE", gamma=0.1),
+                      global_agg=GlobalAggregatorSpec(kind="CA"))
+
+
 @dataclass(eq=False)
 class CheckResult:
     name: str
@@ -264,7 +284,7 @@ SUITE = [
     ("global_CA", _global_case("CA")),
     ("infonce_score_table", _case_infonce_table),
 ] + [(f"batch_loss_{entry.name}", _batch_loss_case(entry))
-     for entry in default_grid()]
+     for entry in default_grid() + [_CA_ENTRY]]
 
 
 def run_suite(step: float = 1e-5, tolerance: float = 1e-4,

@@ -74,12 +74,44 @@ def loads(text: str):
 def require(obj, key: str, path: str = ""):
     """obj[key] of a parsed JSON object, or a ContractError naming the
     dotted path of the missing field."""
-    dotted = f"{path}.{key}" if path else key
     if not isinstance(obj, dict):
         raise ContractError(f"{path or 'document'} must be a JSON object")
     if key not in obj:
-        raise ContractError(f"missing field {dotted}")
+        raise ContractError(f"missing field {_dotted(path, key)}")
     return obj[key]
+
+
+def _dotted(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def require_int(obj, key: str, path: str = "") -> int:
+    """obj[key] if it is a JSON integer, else a ContractError naming the
+    dotted path of the missing or wrongly typed field."""
+    value = require(obj, key, path)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ContractError(f"{_dotted(path, key)} must be an integer")
+    return value
+
+
+def require_float(obj, key: str, path: str = "") -> float:
+    """obj[key] as a float if it is a JSON number, else a ContractError
+    naming the dotted path."""
+    value = require(obj, key, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ContractError(f"{_dotted(path, key)} must be a number")
+    return float(value)
+
+
+def require_array(obj, key: str, path: str = "") -> np.ndarray:
+    """obj[key] as a float64 array, else a ContractError naming the dotted
+    path of a field that is missing or not numeric."""
+    value = require(obj, key, path)
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{_dotted(path, key)} must be numeric "
+                            f"({exc})") from exc
 
 
 def fingerprint(obj) -> str:

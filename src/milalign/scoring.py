@@ -7,7 +7,9 @@ pools the regions into one vector per sentence and scores that vector.
 Either way the per-sentence scores are reduced by a sentence aggregator
 to a single scalar in [-1, 1]. `pairwise_score_tables` scores a whole
 batch of images against a whole batch of documents in one pass; a single
-pair is a 1x1 call.
+pair is a 1x1 call. Every route is one whole-batch expression: per-image
+products run as (B, ., .) stacked matmuls, so no Python loop walks the
+images and the tape's size does not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -45,14 +47,6 @@ def score_matrix(regions, sentences) -> Var:
     return ad.clamp(ad.matmul(unit_rows(r), ad.transpose(unit_rows(s))), -1.0, 1.0)
 
 
-def _column_cosines(pooled_cols: Var, unit_sent_cols: Var) -> Var:
-    # pooled_cols: (D, Q) one pooled feature per sentence column;
-    # unit_sent_cols: (D, Q) unit-norm sentence features
-    num = ad.vsum(ad.mul(pooled_cols, unit_sent_cols), axis=0)
-    den = ad.clip_min(ad.l2norm(pooled_cols, axis=0), NORM_EPS)
-    return ad.clamp(ad.div(num, den), -1.0, 1.0)
-
-
 def _attention_pool(spec: GlobalAggregatorSpec, regions: Var, bi: int,
                     n_regions: int) -> Var:
     """Attention-MIL pooling (Ilse et al., 2018) of every image at once:
@@ -71,6 +65,27 @@ def _attention_pool(spec: GlobalAggregatorSpec, regions: Var, bi: int,
     weights = ad.softmax(ad.reshape(logits, (bi, n_regions)), 1.0, axis=1)
     bags = ad.reshape(regions, (bi, n_regions, dim))
     return ad.vsum(ad.mul(ad.reshape(weights, (bi, n_regions, 1)), bags), axis=1)
+
+
+def _nonlocal_weights(spec: GlobalAggregatorSpec, regions: Var, sm_all: Var,
+                      bi: int, n_regions: int) -> Var:
+    """Non-local pooling weights (after Wang et al., 2018) of every image at
+    once. For each sentence column, an image's critical region is its first
+    region of maximal cosine to that sentence; the regions are weighted by
+    the softmax over the image of their mapped inner product with it.
+    Returns (bi, N, Q) for the Q sentence columns of `sm_all`."""
+    if spec.sim_map is None:
+        raise ContractError("NL aggregator requires the learned sim_map matrix")
+    dim = regions.value.shape[1]
+    q = sm_all.value.shape[1]
+    mapped = ad.reshape(ad.matmul(regions, ad.transpose(as_var(spec.sim_map))),
+                        (bi, n_regions, dim))
+    gram = ad.matmul(mapped, ad.transpose(mapped))  # (bi, N, N)
+    critical = np.argmax(sm_all.value.reshape(bi, n_regions, q), axis=1)
+    # a constant one-hot pick keeps the gather's backward a matmul too
+    onehot = (np.arange(n_regions)[None, :, None] == critical[:, None, :])
+    picked = ad.matmul(gram, onehot.astype(np.float64))  # (bi, N, Q)
+    return ad.softmax(picked, spec.gamma, axis=1)
 
 
 def pairwise_score_tables(regions_all, n_regions: int, sentences_all,
@@ -116,30 +131,16 @@ def pairwise_score_tables(regions_all, n_regions: int, sentences_all,
             )
         else:
             if global_agg.kind == "NL":
-                if global_agg.sim_map is None:
-                    raise ContractError("NL aggregator requires the learned "
-                                        "sim_map matrix")
-                if global_agg.gamma is None:
-                    raise ContractError("NL aggregator requires gamma")
-            blocks = sm_all.value.reshape(bi, n_regions, bd * m_sentences)
-            critical = np.argmax(blocks, axis=1)  # first maximal row per column
-            sent_cols = ad.transpose(sn)
-            rows = []
-            for j in range(bi):
-                bag = r[j * n_regions:(j + 1) * n_regions]
-                if global_agg.kind == "NL":
-                    mapped = ad.matmul(bag, ad.transpose(as_var(global_agg.sim_map)))
-                    gram = ad.matmul(mapped, ad.transpose(mapped))
-                    picked = ad.take(gram, critical[j], axis=1)
-                    weights = ad.softmax(picked, global_agg.gamma, axis=0)
-                else:  # CA: cosine logits, one column per sentence
-                    logits = ad.clamp(
-                        ad.matmul(unit_rows(bag), ad.transpose(sn)), -1.0, 1.0
-                    )
-                    weights = ad.softmax(logits, 1.0, axis=0)
-                pooled_cols = ad.matmul(ad.transpose(bag), weights)
-                rows.append(_column_cosines(pooled_cols, sent_cols))
-            gmat = ad.stack(rows, axis=0)
+                weights = _nonlocal_weights(global_agg, r, sm_all, bi, n_regions)
+            else:  # CA: each image's cosine rows, normalized over its regions
+                weights = ad.softmax(
+                    ad.reshape(sm_all, (bi, n_regions, bd * m_sentences)),
+                    1.0, axis=1)
+            bags = ad.reshape(r, (bi, n_regions, dim))
+            pooled = ad.matmul(ad.transpose(bags), weights)  # (bi, D, q)
+            num = ad.vsum(ad.mul(pooled, ad.transpose(sn)), axis=1)
+            den = ad.clip_min(ad.l2norm(pooled, axis=1), NORM_EPS)
+            gmat = ad.clamp(ad.div(num, den), -1.0, 1.0)
         cube_g = ad.reshape(gmat, (bi, bd, m_sentences))
         table_g = aggregate_sentences_axis(sentence_agg, cube_g, axis=2)
 

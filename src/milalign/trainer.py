@@ -118,30 +118,42 @@ class TrainConfig:
         }
 
 
-def train_config_from_dict(d: dict, path: str = "config") -> TrainConfig:
-    """Inverse of TrainConfig.to_dict; a missing field raises ContractError
-    naming its dotted path under `path`."""
-    def field(key):
-        return jsonio.require(d, key, path)
+def read_betas(d: dict, path: str) -> tuple:
+    """The two AdamW decay rates at `path`.betas, or a ContractError naming
+    that path."""
+    betas = jsonio.require_array(d, "betas", path)
+    if betas.shape != (2,):
+        raise ContractError(f"{path}.betas must be a list of two numbers")
+    return float(betas[0]), float(betas[1])
 
-    betas = field("betas")
+
+def train_config_from_dict(d: dict, path: str = "config") -> TrainConfig:
+    """Inverse of TrainConfig.to_dict; a missing or wrongly typed field
+    raises ContractError naming its dotted path under `path`."""
+    def integer(key):
+        return jsonio.require_int(d, key, path)
+
+    def number(key):
+        return jsonio.require_float(d, key, path)
+
     return TrainConfig(
-        model=model_config_from_dict(field("model"), f"{path}.model"),
+        model=model_config_from_dict(jsonio.require(d, "model", path),
+                                     f"{path}.model"),
         local_agg=local_spec_from_dict(d.get("local_agg"), f"{path}.local_agg"),
         global_agg=global_spec_from_dict(d.get("global_agg"),
                                          f"{path}.global_agg"),
         sentence_agg=sentence_spec_from_dict(d.get("sentence_agg"),
                                              f"{path}.sentence_agg"),
-        batch_size=int(field("batch_size")),
-        sentences_per_bag=int(field("sentences_per_bag")),
-        epochs=int(field("epochs")),
-        peak_lr=float(field("peak_lr")),
-        warmup_steps=int(field("warmup_steps")),
-        weight_decay=float(field("weight_decay")),
-        betas=(float(betas[0]), float(betas[1])),
-        adam_eps=float(field("adam_eps")),
-        gamma_init=float(field("gamma_init")),
-        seed=int(field("seed")),
+        batch_size=integer("batch_size"),
+        sentences_per_bag=integer("sentences_per_bag"),
+        epochs=integer("epochs"),
+        peak_lr=number("peak_lr"),
+        warmup_steps=integer("warmup_steps"),
+        weight_decay=number("weight_decay"),
+        betas=read_betas(d, path),
+        adam_eps=number("adam_eps"),
+        gamma_init=number("gamma_init"),
+        seed=integer("seed"),
     )
 
 
@@ -424,21 +436,19 @@ def _checkpoint_from_payload(payload) -> Checkpoint:
     if payload.get("param_order") != expected_order:
         raise ContractError("parameter layout does not match the configured "
                             "model")
-    params = np.asarray(jsonio.require(payload, "params"), dtype=np.float64)
+    params = jsonio.require_array(payload, "params")
     if params.shape != (param_count(config.model),):
         raise ContractError("parameter vector length mismatch")
     opt = jsonio.require(payload, "optimizer")
     state = OptimizerState(
-        step=int(jsonio.require(opt, "step", "optimizer")),
-        first_moment=np.asarray(jsonio.require(opt, "first_moment", "optimizer"),
-                                dtype=np.float64),
-        second_moment=np.asarray(jsonio.require(opt, "second_moment",
-                                                "optimizer"), dtype=np.float64),
+        step=jsonio.require_int(opt, "step", "optimizer"),
+        first_moment=jsonio.require_array(opt, "first_moment", "optimizer"),
+        second_moment=jsonio.require_array(opt, "second_moment", "optimizer"),
     )
     if state.first_moment.shape != params.shape or \
             state.second_moment.shape != params.shape:
         raise ContractError("optimizer state length mismatch")
-    step = int(jsonio.require(payload, "step"))
+    step = jsonio.require_int(payload, "step")
     if state.step < 0 or step < 0:
         raise ContractError("negative step counter")
     return Checkpoint(config=config, params_flat=params, optimizer=state,

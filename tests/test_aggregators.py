@@ -298,9 +298,11 @@ def test_global_nl_requires_scores_and_map():
     with pytest.raises(ContractError, match="sim_map"):
         global_table(GlobalAggregatorSpec(kind="NL", gamma=1.0), images,
                      sentences)
-    with pytest.raises(ContractError, match="gamma"):
-        global_table(bind_global_spec(GlobalAggregatorSpec(kind="NL"),
-                                      sim_map=np.eye(3)), images, sentences)
+    # a missing gamma is refused when the spec is built, before any scoring
+    with pytest.raises(ContractError, match="NL requires a finite gamma"):
+        GlobalAggregatorSpec(kind="NL")
+    with pytest.raises(ContractError, match="NL requires a finite gamma"):
+        GlobalAggregatorSpec(kind="NL", gamma=-1.0)
 
 
 def test_global_ca_weights_by_cosine_to_condition():

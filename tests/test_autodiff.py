@@ -71,6 +71,35 @@ def test_matmul_gradients_match_explicit_sums():
     assert np.allclose(b.grad, a.value.T @ np.ones((3, 2)))
 
 
+def test_batched_matmul_gradients_match_explicit_sums():
+    rng = np.random.default_rng(1)
+    a = Var(rng.standard_normal((2, 3, 4)))
+    b = Var(rng.standard_normal((2, 4, 5)))
+    mix = rng.standard_normal((2, 3, 5))
+    out = ad.matmul(a, b)
+    ad.vsum(ad.mul(out, mix)).backward()
+    ga = np.zeros((2, 3, 4))
+    gb = np.zeros((2, 4, 5))
+    for s in range(2):
+        for i in range(3):
+            for k in range(4):
+                for j in range(5):
+                    assert abs(out.value[s, i, j]
+                               - sum(a.value[s, i, t] * b.value[s, t, j]
+                                     for t in range(4))) < 1e-12
+                    ga[s, i, k] += mix[s, i, j] * b.value[s, k, j]
+                    gb[s, k, j] += mix[s, i, j] * a.value[s, i, k]
+    assert np.allclose(a.grad, ga, rtol=0.0, atol=1e-12)
+    assert np.allclose(b.grad, gb, rtol=0.0, atol=1e-12)
+
+
+def test_batched_matmul_requires_paired_stacks():
+    with pytest.raises(ContractError, match="leading axes"):
+        ad.matmul(np.ones((2, 3, 4)), np.ones((3, 4, 5)))
+    with pytest.raises(ContractError, match="3-D"):
+        ad.matmul(np.ones((2, 3, 4)), np.ones((4, 5)))
+
+
 def test_broadcast_add_unbroadcasts_gradient():
     a = Var(np.zeros((3, 4)))
     b = Var(np.zeros(4))
@@ -153,28 +182,21 @@ def test_softmax_sums_to_one_at_large_logits():
         assert abs(float(p.value.sum()) - 1.0) < 1e-15
 
 
-def test_concat_stack_roundtrip_gradients():
-    a = Var(np.asarray([1.0, 2.0]))
-    b = Var(np.asarray([3.0]))
-    c = ad.concat([a, b], axis=0)
-    out = ad.vsum(ad.mul(c, np.asarray([1.0, 10.0, 100.0])))
-    out.backward()
-    assert np.allclose(a.grad, [1.0, 10.0])
-    assert np.allclose(b.grad, [100.0])
-    s = ad.stack([Var(np.asarray(1.0)), Var(np.asarray(2.0))], axis=0)
-    assert s.value.shape == (2,)
-
-
-def test_reshape_transpose_take():
+def test_reshape_transpose():
     x = Var(np.arange(6.0).reshape(2, 3))
     r = ad.reshape(x, (3, 2))
     assert r.value.shape == (3, 2)
     t = ad.transpose(x)
     assert t.value.shape == (3, 2)
-    picked = ad.take(x, np.asarray([2, 0]), axis=1)
-    out = ad.vsum(picked)
-    out.backward()
-    assert np.allclose(x.grad, [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+    stack = Var(np.arange(24.0).reshape(2, 3, 4))
+    ts = ad.transpose(stack)
+    assert ts.value.shape == (2, 4, 3)
+    assert np.array_equal(ts.value[1], stack.value[1].T)
+    weights = np.arange(24.0).reshape(2, 4, 3)
+    ad.vsum(ad.mul(ts, weights)).backward()
+    assert np.array_equal(stack.grad, np.swapaxes(weights, 1, 2))
+    with pytest.raises(ContractError):
+        ad.transpose(Var(np.ones(3)))
 
 
 def test_getitem_int_and_slice_only():

@@ -281,14 +281,18 @@ def test_ablate_refuses_epochs_inside_warmup(pipeline, tmp_path, capsys):
     assert rc == 0
 
 
-def _without(payload, dotted):
+def _edited(payload, dotted, edit):
     out = copy.deepcopy(payload)
     *parents, last = dotted.split(".")
     node = out
     for key in parents:
         node = node[key]
-    del node[last]
+    edit(node, last)
     return out
+
+
+def _without(payload, dotted):
+    return _edited(payload, dotted, lambda node, key: node.pop(key))
 
 
 CHECKPOINT_FIELDS = (
@@ -315,6 +319,57 @@ def test_checkpoint_missing_field_exits_one(pipeline, tmp_path, capsys,
                    "--out", str(tmp_path / "run"), "--resume", str(bad)])
     assert rc == 1
     assert f"missing field {dotted}" in capsys.readouterr().err
+
+
+CHECKPOINT_BAD_VALUES = (
+    ("optimizer.step", "x", "optimizer.step must be an integer"),
+    ("step", 1.5, "step must be an integer"),
+    ("config.betas", 0.9, "config.betas must be a list of two numbers"),
+    ("config.betas", [0.9], "config.betas must be a list of two numbers"),
+    ("config.batch_size", "8", "config.batch_size must be an integer"),
+    ("config.seed", True, "config.seed must be an integer"),
+    ("config.peak_lr", "x", "config.peak_lr must be a number"),
+    ("config.model.hidden_dim", "x", "config.model.hidden_dim must be an "
+                                     "integer"),
+    ("config.local_agg.gamma", "x", "config.local_agg.gamma must be a number"),
+    ("config.global_agg.gamma", [], "config.global_agg.gamma must be a number"),
+    ("params", "x", "params must be numeric"),
+    ("optimizer.first_moment", ["x"], "optimizer.first_moment must be numeric"),
+)
+
+
+@pytest.mark.parametrize(
+    "dotted,value,message", CHECKPOINT_BAD_VALUES,
+    ids=[f"{dotted}={json.dumps(value)}"
+         for dotted, value, _ in CHECKPOINT_BAD_VALUES])
+def test_checkpoint_field_of_wrong_type_exits_one(pipeline, tmp_path, capsys,
+                                                  dotted, value, message):
+    def put(node, key):
+        node[key] = value
+
+    payload = json.loads(pipeline.checkpoint_path.read_text())
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(_edited(payload, dotted, put)))
+    rc = cli.main(["train", "--config", str(pipeline.config_path),
+                   "--corpus", str(pipeline.corpus_path),
+                   "--out", str(tmp_path / "run"), "--resume", str(bad)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+def test_train_refuses_nl_without_gamma_before_any_step(pipeline, tmp_path,
+                                                         capsys):
+    config = dict(SMALL, train=dict(SMALL["train"],
+                                    global_agg={"kind": "NL"}))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--config", str(config_path),
+                   "--corpus", str(pipeline.corpus_path), "--out", str(out)])
+    assert rc == 1
+    assert "missing field train.global_agg.gamma" in capsys.readouterr().err
+    assert not (out / "train_log.csv").exists()
+    assert not (out / "checkpoint.json").exists()
 
 
 CORPUS_FIELDS = ("spec", "concept_bank", "concept_bank.seed",

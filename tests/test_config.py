@@ -119,6 +119,22 @@ def test_type_errors_name_the_field():
         experiment_from_dict({"corpus": {"noise_sigma": "small"}})
 
 
+def test_global_nl_requires_gamma():
+    with pytest.raises(ContractError, match="missing field train.global_agg.gamma"):
+        experiment_from_dict({"train": {"global_agg": {"kind": "NL"}}})
+    with pytest.raises(ContractError, match="train.global_agg.gamma must be"):
+        experiment_from_dict({"train": {"global_agg": {"kind": "NL",
+                                                       "gamma": "e"}}})
+    cfg = experiment_from_dict({"train": {"global_agg": {"kind": "CA"}}})
+    assert cfg.train.global_agg.gamma is None
+
+
+def test_betas_must_be_two_numbers():
+    for betas in (0.9, [0.9], [0.9, 0.99, 0.999], ["a", "b"]):
+        with pytest.raises(ContractError, match="train.betas"):
+            experiment_from_dict({"train": {"betas": betas}})
+
+
 def test_ablation_validation():
     with pytest.raises(ContractError, match="ablation.seeds"):
         experiment_from_dict({"ablation": {"seeds": []}})

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from milalign.autodiff import ContractError, Var
+from milalign.autodiff import ContractError, Var, _toposort
 from milalign.aggregators import (
     GlobalAggregatorSpec,
     LocalAggregatorSpec,
@@ -21,7 +21,7 @@ from milalign.encoders import (
     param_count,
     unflatten_params,
 )
-from milalign.evaluation import default_grid
+from milalign.evaluation import GridEntry, default_grid
 from milalign.synthgen import CorpusSpec, SyntheticDocument, generate_corpus
 from milalign.trainer import (
     NonFiniteLossError,
@@ -281,6 +281,29 @@ def test_batch_loss_needs_two_documents():
                           init_model(config.model, config.gamma_init, 0))
     with pytest.raises(ContractError, match="at least two"):
         batch_loss(config, flat, batch[:1])
+
+
+def test_tape_size_does_not_depend_on_batch_size():
+    # every route is one whole-batch expression, so a per-image loop on the
+    # tape would show up as a node count growing with the batch
+    corpus = tiny_corpus()
+    ca = GridEntry("LSE+CA", local_agg=LocalAggregatorSpec(kind="LSE", gamma=0.1),
+                   global_agg=GlobalAggregatorSpec(kind="CA"))
+    for entry in default_grid() + [ca]:
+        kind = entry.global_agg.kind if entry.global_agg else None
+        counts = []
+        for size in (4, 32):
+            config = tiny_config(
+                model=dataclasses.replace(tiny_config().model,
+                                          use_nl=kind == "NL",
+                                          use_att=kind == "Att"),
+                local_agg=entry.local_agg, global_agg=entry.global_agg,
+                batch_size=size)
+            batch = sample_batch(corpus, config, np.random.default_rng(size))
+            flat = flatten_params(config.model,
+                                  init_model(config.model, config.gamma_init, 0))
+            counts.append(len(_toposort(batch_loss(config, flat, batch))))
+        assert counts[0] == counts[1], (entry.name, counts)
 
 
 def test_initial_loss_near_log_batch_size():
