@@ -10,11 +10,23 @@ Four task families, all operating on frozen parameters:
 
 plus the aggregator ablation grid that retrains one model per aggregator
 combination and compares the routes on a normalized table.
+
+Each task is a few whole-array expressions over all of its cases. The
+region bags of the distinct documents are stacked and encoded in one
+`encode_bag` call and the sentences or prompts in another, so the number
+of encoder calls does not depend on the number of cases. Scores are
+plain numpy cosines (`numeric.normalize_rows`, `numeric.cosine_matrix`);
+evaluation never goes through the tape's scoring ops. Grounding scores
+every case as one (cases, N) array and reduces it with masked array
+expressions; the one-map functions `cnr`, `miou` and `grounding_hit` are
+one-row calls of the same expressions. Retrieval ranks compare a block
+of rows at a time against their own entries.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,33 +43,62 @@ from .aggregators import (
     aggregate_local_axis,
 )
 from .encoders import ModelParams, encode_bag, unflatten_params
-from .numeric import cosine_matrix, population_stats
-from .scoring import score_matrix
+from .numeric import cosine_matrix, normalize_rows
 from .trainer import NonFiniteLossError, TrainConfig, train
 
 VARIANCE_GUARD = 1e-8
 IOU_THRESHOLDS = np.arange(-20, 21) * 5 / 100.0  # -1.00 .. 1.00 in 0.05 steps
+# Query rows `rank_of_match` compares at a time; its temporaries are
+# (RANK_BLOCK_ROWS, q) rather than (q, q).
+RANK_BLOCK_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
 # feature extraction
 
 
+def _encode(encoder, observations) -> np.ndarray:
+    """Encode a (count, D_in) bag, or a (bags, count, D_in) stack of
+    equal-size bags, in one `encode_bag` call; rows never mix, so a stack
+    gives each bag the features it would get alone, up to rounding."""
+    obs = np.asarray(observations)
+    if obs.ndim != 3:
+        return encode_bag(encoder, obs).value
+    flat = encode_bag(encoder, obs.reshape(-1, obs.shape[2])).value
+    return flat.reshape(obs.shape[0], obs.shape[1], flat.shape[1])
+
+
 def encode_regions(params: ModelParams, observations) -> np.ndarray:
-    return encode_bag(params.region_encoder, np.asarray(observations)).value
+    return _encode(params.region_encoder, observations)
 
 
 def encode_sentences(params: ModelParams, observations) -> np.ndarray:
-    return encode_bag(params.sentence_encoder, np.asarray(observations)).value
+    return _encode(params.sentence_encoder, observations)
+
+
+def _stack_same_shape(arrays, describe) -> np.ndarray:
+    """np.stack of equal-shaped arrays. A ragged input is a ContractError
+    naming the first item that differs (`describe(i)`) and both shapes."""
+    shape = np.shape(arrays[0])
+    for i, a in enumerate(arrays):
+        if np.shape(a) != shape:
+            raise ContractError(f"{describe(i)} has shape {np.shape(a)}, but "
+                                f"{describe(0)} has shape {shape}")
+    return np.stack(arrays)
+
+
+def _document_regions(documents) -> np.ndarray:
+    """The documents' region bags stacked (docs, N, D_in)."""
+    return _stack_same_shape(
+        [doc.region_observations for doc in documents],
+        lambda i: f"region bag of document {i} (image {documents[i].image_id})")
 
 
 def pooled_image_features(params: ModelParams, documents) -> np.ndarray:
     """Mean of encoded region features per image, stacked (len(docs), D)."""
     if not documents:
         raise ContractError("no documents to pool features from")
-    rows = [encode_regions(params, doc.region_observations).mean(axis=0)
-            for doc in documents]
-    return np.stack(rows, axis=0)
+    return encode_regions(params, _document_regions(documents)).mean(axis=1)
 
 
 def single_concept_documents(documents) -> list:
@@ -103,15 +144,14 @@ def prompt_matrix(prompts: dict) -> np.ndarray:
 
 def zero_shot_score_table(params: ModelParams, local_agg: LocalAggregatorSpec,
                           prompts: dict, documents) -> np.ndarray:
-    """(n_images, concepts) image-prompt scores through the local route."""
-    mat = prompt_matrix(prompts)
-    prompt_feats = encode_sentences(params, mat)
-    rows = []
-    for doc in documents:
-        feats = encode_regions(params, doc.region_observations)
-        sm = score_matrix(feats, prompt_feats)
-        rows.append(aggregate_local_axis(local_agg, sm, axis=0).value)
-    return np.stack(rows, axis=0)
+    """(n_images, concepts) image-prompt scores through the local route:
+    the (images, N, concepts) cosine cube reduced over the regions."""
+    prompt_feats = encode_sentences(params, prompt_matrix(prompts))
+    regions = encode_regions(params, _document_regions(documents))
+    images, n_regions, dim = regions.shape
+    cube = cosine_matrix(regions.reshape(-1, dim), prompt_feats)
+    return aggregate_local_axis(
+        local_agg, cube.reshape(images, n_regions, -1), axis=1).value
 
 
 def minmax_normalize_columns(table: np.ndarray) -> np.ndarray:
@@ -119,14 +159,12 @@ def minmax_normalize_columns(table: np.ndarray) -> np.ndarray:
     t = np.asarray(table, dtype=np.float64)
     lo = t.min(axis=0)
     hi = t.max(axis=0)
-    out = np.empty_like(t)
-    for j in range(t.shape[1]):
-        if hi[j] > lo[j]:
-            out[:, j] = (t[:, j] - lo[j]) / (hi[j] - lo[j])
-        else:
-            warnings.warn(f"score column {j} is constant; normalizing to 0.5",
-                          RuntimeWarning, stacklevel=2)
-            out[:, j] = 0.5
+    constant = ~(hi > lo)
+    for j in np.flatnonzero(constant):
+        warnings.warn(f"score column {j} is constant; normalizing to 0.5",
+                      RuntimeWarning, stacklevel=2)
+    out = (t - lo) / np.where(constant, 1.0, hi - lo)
+    out[:, constant] = 0.5
     return out
 
 
@@ -255,53 +293,120 @@ def grounding_cases(documents) -> list:
     return cases
 
 
+def _case_inputs(cases):
+    """(bags, rows, sentences) of a list of cases: the region bags of the
+    distinct documents stacked (docs, N, D_in), the row of each case's bag
+    in that stack, and the sentence observations stacked (cases, D_s).
+
+    Cases share a bag when they hold the same array, as the cases of one
+    document from `grounding_cases` do, so each document is encoded once
+    however many of its sentences are cases. Cases whose bags or
+    sentences differ in shape are a ContractError.
+    """
+    if not cases:
+        raise ContractError("no grounding cases")
+
+    def name(what, i):
+        return (f"{what} of case {i} (image {cases[i].image_id}, "
+                f"sentence {cases[i].sentence_index})")
+
+    bags = [c.region_observations for c in cases]
+    first_case = {}
+    owners = np.array([first_case.setdefault(id(bag), i)
+                       for i, bag in enumerate(bags)], dtype=np.intp)
+    # each distinct bag is named by its first case, so a ragged stack names
+    # the first case that differs
+    distinct, rows = np.unique(owners, return_inverse=True)
+    stacked = _stack_same_shape([bags[i] for i in distinct],
+                                lambda k: name("region bag", distinct[k]))
+    sentences = _stack_same_shape([c.sentence_observation for c in cases],
+                                  lambda i: name("sentence", i))
+    return stacked, rows, sentences
+
+
+def grounding_score_maps(params: ModelParams, cases) -> np.ndarray:
+    """(cases, N) raw region-sentence cosines, no smoothing; values in
+    [-1, 1]. Row c is case c's regions scored against its sentence."""
+    bags, rows, sentences = _case_inputs(cases)
+    regions = normalize_rows(encode_regions(params, bags))
+    unit_sentences = normalize_rows(encode_sentences(params, sentences))
+    maps = np.einsum("cnd,cd->cn", regions[rows], unit_sentences)
+    return np.clip(maps, -1.0, 1.0, out=maps)
+
+
 def grounding_score_map(params: ModelParams, case: GroundingCase) -> np.ndarray:
     """Raw region-sentence cosine per region, no smoothing; values in [-1, 1]."""
-    feats = encode_regions(params, case.region_observations)
-    sent = encode_sentences(params, case.sentence_observation[None, :])
-    return score_matrix(feats, sent).value[:, 0]
+    return grounding_score_maps(params, [case])[0]
 
 
-def _check_box(score_map: np.ndarray, box) -> np.ndarray:
-    mask = np.zeros(score_map.shape[0], dtype=bool)
-    indices = list(box)
-    if not indices:
+def box_masks(n_regions: int, boxes) -> np.ndarray:
+    """(len(boxes), n_regions) membership masks. Every box must be a
+    non-empty proper subset of the region indices."""
+    sizes = np.array([len(box) for box in boxes], dtype=np.intp)
+    if (sizes == 0).any():
         raise ContractError("box must be non-empty")
-    if min(indices) < 0 or max(indices) >= score_map.shape[0]:
+    members = np.fromiter(itertools.chain.from_iterable(boxes), dtype=np.intp,
+                          count=int(sizes.sum()))
+    if members.size and (members.min() < 0 or members.max() >= n_regions):
         raise ContractError("box index out of range")
-    mask[indices] = True
-    if mask.all():
+    masks = np.zeros((len(boxes), n_regions), dtype=bool)
+    masks[np.repeat(np.arange(len(boxes)), sizes), members] = True
+    if masks.all(axis=1).any():
         raise ContractError("box must not cover every region")
-    return mask
+    return masks
+
+
+def cnr_rows(score_maps: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Per row, the contrast between in-box and out-of-box scores over the
+    square root of the summed population variances (plus VARIANCE_GUARD)."""
+    n_in = np.count_nonzero(masks, axis=1)
+    n_out = masks.shape[1] - n_in
+    mean_in = np.where(masks, score_maps, 0.0).sum(axis=1) / n_in
+    mean_out = np.where(masks, 0.0, score_maps).sum(axis=1) / n_out
+    dev = score_maps - np.where(masks, mean_in[:, None], mean_out[:, None])
+    sq = dev * dev
+    var_in = np.where(masks, sq, 0.0).sum(axis=1) / n_in
+    var_out = np.where(masks, 0.0, sq).sum(axis=1) / n_out
+    return np.abs(mean_in - mean_out) / np.sqrt(var_in + var_out + VARIANCE_GUARD)
+
+
+def miou_rows(score_maps: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Per row, the mean IoU of the thresholded map against the box over
+    IOU_THRESHOLDS. The IoUs are summed in grid order, so a map gives the
+    same bits whichever batch it is scored in."""
+    predicted = score_maps[:, None, :] >= IOU_THRESHOLDS[None, :, None]
+    inside = masks[:, None, :]
+    inter = np.count_nonzero(predicted & inside, axis=2)
+    union = np.count_nonzero(predicted | inside, axis=2)  # >= box size >= 1
+    return np.cumsum(inter / union, axis=1)[:, -1] / IOU_THRESHOLDS.size
+
+
+def hit_rows(score_maps: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Per row, whether the first highest-scoring region lies in the box."""
+    top = np.argmax(score_maps, axis=1)
+    return masks[np.arange(masks.shape[0]), top]
+
+
+def _one_map(score_map, box):
+    scores = np.asarray(score_map, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ContractError("a score map must be 1-D")
+    return scores[None, :], box_masks(scores.shape[0], [box])
 
 
 def cnr(score_map, box) -> float:
     """Contrast between in-box and out-of-box scores, noise-normalized."""
-    scores = np.asarray(score_map, dtype=np.float64)
-    mask = _check_box(scores, box)
-    mean_in, var_in = population_stats(scores[mask])
-    mean_out, var_out = population_stats(scores[~mask])
-    return abs(mean_in - mean_out) / math.sqrt(var_in + var_out + VARIANCE_GUARD)
+    return float(cnr_rows(*_one_map(score_map, box))[0])
 
 
 def miou(score_map, box) -> float:
     """Mean IoU of thresholded score maps over the fixed threshold grid."""
-    scores = np.asarray(score_map, dtype=np.float64)
-    mask = _check_box(scores, box)
-    total = 0.0
-    for t in IOU_THRESHOLDS:
-        predicted = scores >= t
-        union = np.logical_or(predicted, mask).sum()
-        inter = np.logical_and(predicted, mask).sum()
-        total += inter / union if union else 0.0
-    return total / IOU_THRESHOLDS.size
+    return float(miou_rows(*_one_map(score_map, box))[0])
 
 
 def grounding_hit(score_map, box) -> bool:
     """Whether the single highest-scoring region lies inside the box."""
-    scores = np.asarray(score_map, dtype=np.float64)
-    _check_box(scores, box)
-    return int(np.argmax(scores)) in set(box)
+    return bool(hit_rows(*_one_map(score_map, box))[0])
 
 
 @dataclass(eq=False)
@@ -315,17 +420,11 @@ class GroundingSummary:
 
 
 def evaluate_grounding(params: ModelParams, cases) -> GroundingSummary:
-    if not cases:
-        raise ContractError("no grounding cases")
-    cnrs, mious, hits = [], [], []
-    for case in cases:
-        score_map = grounding_score_map(params, case)
-        cnrs.append(cnr(score_map, case.box))
-        mious.append(miou(score_map, case.box))
-        hits.append(grounding_hit(score_map, case.box))
-    cnrs = np.asarray(cnrs)
-    mious = np.asarray(mious)
-    hits = np.asarray(hits, dtype=bool)
+    maps = grounding_score_maps(params, cases)
+    masks = box_masks(maps.shape[1], [case.box for case in cases])
+    cnrs = cnr_rows(maps, masks)
+    mious = miou_rows(maps, masks)
+    hits = hit_rows(maps, masks)
     return GroundingSummary(
         per_case_cnr=cnrs, per_case_miou=mious, per_case_hit=hits,
         mean_cnr=float(cnrs.mean()), mean_miou=float(mious.mean()),
@@ -334,15 +433,12 @@ def evaluate_grounding(params: ModelParams, cases) -> GroundingSummary:
 
 
 def export_score_maps(path, params: ModelParams, cases) -> None:
-    maps = [
-        {
-            "image_id": case.image_id,
-            "sentence_index": case.sentence_index,
-            "scores": grounding_score_map(params, case),
-        }
-        for case in cases
-    ]
-    payload = {"kind": "score-maps", "format_version": 1, "maps": maps}
+    maps = grounding_score_maps(params, cases) if cases else []
+    payload = {"kind": "score-maps", "format_version": 1, "maps": [
+        {"image_id": case.image_id, "sentence_index": case.sentence_index,
+         "scores": scores}
+        for case, scores in zip(cases, maps)
+    ]}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(jsonio.dumps_canonical(payload) + "\n")
 
@@ -377,14 +473,12 @@ def retrieval_features(params: ModelParams, cases):
         if key in seen:
             raise ContractError(f"duplicate retrieval pairing {key}")
         seen.add(key)
-    boxes = []
-    sentences = []
-    for case in cases:
-        feats = encode_regions(params, case.region_observations)
-        boxes.append(feats[list(case.box)].mean(axis=0))
-        sentences.append(
-            encode_sentences(params, case.sentence_observation[None, :])[0])
-    return np.stack(boxes), np.stack(sentences)
+    bags, rows, sentences = _case_inputs(cases)
+    masks = box_masks(bags.shape[1], [case.box for case in cases])
+    regions = encode_regions(params, bags)
+    box_sums = np.einsum("cn,cnd->cd", masks.astype(np.float64), regions[rows])
+    boxes = box_sums / np.count_nonzero(masks, axis=1)[:, None]
+    return boxes, encode_sentences(params, sentences)
 
 
 def rank_of_match(score_table: np.ndarray) -> np.ndarray:
@@ -395,12 +489,18 @@ def rank_of_match(score_table: np.ndarray) -> np.ndarray:
         raise ContractError("retrieval score table must be square")
     q = t.shape[0]
     ranks = np.empty(q, dtype=np.int64)
-    idx = np.arange(q)
-    for i in range(q):
-        row = t[i]
-        better = row > row[i]
-        tied_earlier = (row == row[i]) & (idx < i)
-        ranks[i] = 1 + int(np.count_nonzero(better | tied_earlier))
+    for start in range(0, q, RANK_BLOCK_ROWS):
+        block = t[start:start + RANK_BLOCK_ROWS]
+        local = np.arange(block.shape[0])
+        own = block[local, start + local][:, None]
+        better = np.count_nonzero(block > own, axis=1)
+        # a tie besides the row's own entry is rare: look for the earlier
+        # tied candidates only in the rows that have one
+        tied = np.flatnonzero(np.count_nonzero(block == own, axis=1) > 1)
+        k, col = np.nonzero(block[tied] == own[tied])
+        k = tied[k]
+        earlier = np.bincount(k[col < start + k], minlength=block.shape[0])
+        ranks[start:start + block.shape[0]] = 1 + better + earlier
     return ranks
 
 

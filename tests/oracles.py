@@ -1,9 +1,10 @@
-"""Straight-line references for the scoring path and the loss.
+"""Straight-line references for the scoring path, the loss and the
+evaluation metrics.
 
 Plain Python floats written from the method's definitions: no tape ops,
-no max-shifts, no norm floors. Specs are read for their fields only.
-Tests compare `pairwise_score_tables` and `infonce_score_table` against
-these, so nothing here may call into either.
+no max-shifts, no norm floors, no arrays. Specs are read for their fields
+only. Tests compare `pairwise_score_tables`, `infonce_score_table` and
+the batched evaluation against these, so nothing here may call into them.
 """
 
 import math
@@ -134,3 +135,35 @@ def table_loss(table, gamma):
     b = len(table)
     return sum(infonce(table[i][i], [table[j][i] for j in range(b) if j != i],
                        gamma) for i in range(b)) / b
+
+
+def grounding(scores, box, thresholds, guard):
+    """(CNR, mean IoU over the thresholds, hit) of one score map against
+    one box of region indices."""
+    s = [float(x) for x in scores]
+    members = set(box)
+
+    def population(values):
+        mean = sum(values) / len(values)
+        return mean, sum((x - mean) ** 2 for x in values) / len(values)
+
+    mean_in, var_in = population([x for i, x in enumerate(s) if i in members])
+    mean_out, var_out = population([x for i, x in enumerate(s)
+                                    if i not in members])
+    contrast = abs(mean_in - mean_out) / math.sqrt(var_in + var_out + guard)
+    total = 0.0
+    for t in thresholds:
+        predicted = {i for i, x in enumerate(s) if x >= float(t)}
+        total += len(predicted & members) / len(predicted | members)
+    top = max(range(len(s)), key=lambda i: s[i])  # first maximal
+    return contrast, total / len(thresholds), top in members
+
+
+def match_ranks(table):
+    """1-based rank of each row's own entry: a candidate goes first if it
+    scores higher, or scores the same and has a lower index."""
+    q = len(table)
+    return [1 + sum(1 for j in range(q)
+                    if table[i][j] > table[i][i]
+                    or (table[i][j] == table[i][i] and j < i))
+            for i in range(q)]

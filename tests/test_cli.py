@@ -249,6 +249,27 @@ def test_corrupt_corpus_exits_one(pipeline, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_eval_refuses_ragged_region_bags(pipeline, tmp_path, capsys):
+    # drop the last region of every document whose boxes leave it out
+    lines = pipeline.corpus_path.read_text().splitlines()
+    edited = [lines[0]]
+    for line in lines[1:]:
+        doc = json.loads(line)
+        if all(7 not in box for box in doc["boxes"]):
+            doc["regions"] = doc["regions"][:7]
+            doc["region_concepts"] = doc["region_concepts"][:7]
+        edited.append(json.dumps(doc))
+    ragged = tmp_path / "ragged.jsonl"
+    ragged.write_text("\n".join(edited) + "\n")
+    rc = cli.main(["eval", "--config", str(pipeline.config_path),
+                   "--checkpoint", str(pipeline.checkpoint_path),
+                   "--corpus", str(ragged), "--tasks", "grounding",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "region bag of case" in err and "(7, 6)" in err and "(8, 6)" in err
+
+
 def test_ablate_bad_seeds_flag(pipeline, tmp_path, capsys):
     rc = cli.main(["ablate", "--config", str(pipeline.config_path),
                    "--corpus", str(pipeline.corpus_path),

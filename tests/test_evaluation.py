@@ -1,15 +1,21 @@
 """Evaluation stack: zero-shot normalization, probe AUC, grounding metrics
-against frozen hand values, retrieval ranking rules, and the ablation
-grid plumbing."""
+against frozen hand values and straight-line oracles, retrieval ranking
+rules, the encoder-call count of the batched tasks, and the ablation grid
+plumbing."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
+import oracles
+from milalign import evaluation
 from milalign.autodiff import ContractError
-from milalign.aggregators import GlobalAggregatorSpec, LocalAggregatorSpec
+from milalign.aggregators import (
+    LOCAL_KINDS,
+    GlobalAggregatorSpec,
+    LocalAggregatorSpec,
+)
 from milalign.encoders import ModelConfig, init_model, unflatten_params
 from milalign.evaluation import (
     IOU_THRESHOLDS,
@@ -18,8 +24,11 @@ from milalign.evaluation import (
     GroundingCase,
     ablation_grid,
     cnr,
+    VARIANCE_GUARD,
     default_grid,
     document_label,
+    encode_regions,
+    encode_sentences,
     evaluate_grounding,
     export_score_maps,
     grounding_cases,
@@ -41,6 +50,7 @@ from milalign.evaluation import (
     single_concept_documents,
     write_report_csv,
     zero_shot_classify,
+    zero_shot_score_table,
 )
 from milalign.synthgen import (
     CorpusSpec,
@@ -146,6 +156,23 @@ def test_zero_shot_after_brief_training():
     with pytest.raises(ContractError):
         zero_shot_classify(params, LocalAggregatorSpec(kind="Max"),
                            prompts, [])
+
+
+def test_zero_shot_table_matches_per_document_composition():
+    corpus = tiny_corpus(documents=12)
+    _, params = tiny_params()
+    prompts = prompt_bank(corpus.bank)
+    prompt_feats = encode_sentences(params, prompt_matrix(prompts))
+    for kind in LOCAL_KINDS:
+        spec = LocalAggregatorSpec(kind=kind,
+                                   gamma=0.5 if kind == "LSE" else None)
+        table = zero_shot_score_table(params, spec, prompts, corpus.documents)
+        assert table.shape == (12, 4)
+        for row, doc in zip(table, corpus.documents):
+            regions = encode_regions(params, doc.region_observations)
+            want = [oracles.local(spec, [oracles.cos(x, p) for x in regions])
+                    for p in prompt_feats]
+            assert np.max(np.abs(row - want)) <= 1e-12, kind
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +321,13 @@ def test_miou_matches_naive_loop():
         assert abs(miou(scores, box) - total / 41.0) < 1e-12
 
 
+def test_cnr_uses_population_variance():
+    # inside {0.3}: mean 0.3, variance 0; outside {1.0, 0.8}: mean 0.9 and
+    # variance 0.01, the squared deviations divided by n = 2, not n - 1
+    got = cnr(np.asarray([0.3, 1.0, 0.8]), (0,))
+    assert abs(got - 0.6 / math.sqrt(0.01 + 1e-8)) < 1e-12
+
+
 def test_grounding_hit_is_argmax_membership():
     assert grounding_hit(np.asarray([0.9, 0.1, 0.5]), (0, 2))
     assert not grounding_hit(np.asarray([0.1, 0.9, 0.5]), (0, 2))
@@ -308,7 +342,6 @@ def test_grounding_score_map_is_raw_cosine():
     smap = grounding_score_map(params, case)
     assert smap.shape == (8,)
     assert np.all(smap >= -1.0) and np.all(smap <= 1.0)
-    from milalign.evaluation import encode_regions, encode_sentences
     from milalign.numeric import cosine_matrix
     feats = encode_regions(params, case.region_observations)
     sent = encode_sentences(params, case.sentence_observation[None, :])
@@ -327,6 +360,63 @@ def test_evaluate_grounding_aggregates():
     assert 0.0 <= summary.hit_rate <= 1.0
     with pytest.raises(ContractError):
         evaluate_grounding(params, [])
+
+
+def test_grounding_metrics_match_straight_line_oracle(monkeypatch):
+    # one batch with boxes of 2, 3 and 4 regions, scores lying exactly on
+    # thresholds, and exact ties for the maximum inside and outside boxes
+    rng = np.random.default_rng(11)
+    n = 6
+    maps = np.vstack([
+        [-1.0, -0.5, 0.25, 1.0, 0.3, -0.2],
+        [1.0, 0.25, 1.0, -0.5, -1.0, 0.25],  # first maximum outside the box
+        [0.25, -0.5, 0.9, -1.0, 0.1, 0.9],   # first maximum inside the box
+        np.round(rng.uniform(-1.0, 1.0, (27, n)) * 20) / 20,  # on the grid
+        rng.uniform(-1.0, 1.0, (10, n)),
+    ])
+    boxes = [(0, 3), (2, 4, 5), (1, 2, 3, 5)]
+    boxes += [tuple(sorted(rng.choice(n, size=2 + c % 3, replace=False)))
+              for c in range(maps.shape[0] - 3)]
+    cases = [GroundingCase(c, 0, np.zeros((n, 3)), np.zeros(3), box)
+             for c, box in enumerate(boxes)]
+    monkeypatch.setattr(evaluation, "grounding_score_maps",
+                        lambda params, got: maps)
+    summary = evaluate_grounding(None, cases)
+    assert not summary.per_case_hit[1] and summary.per_case_hit[2]
+    for c, box in enumerate(boxes):
+        want_cnr, want_miou, want_hit = oracles.grounding(
+            maps[c], box, IOU_THRESHOLDS, VARIANCE_GUARD)
+        assert summary.per_case_cnr[c] == pytest.approx(want_cnr, rel=1e-12)
+        assert summary.per_case_miou[c] == want_miou
+        assert summary.per_case_hit[c] == want_hit
+        assert miou(maps[c], box) == want_miou
+        assert grounding_hit(maps[c], box) == want_hit
+
+
+def test_ragged_cases_are_refused(tmp_path):
+    corpus = tiny_corpus(documents=6)
+    _, params = tiny_params()
+    cases = grounding_cases(corpus.documents)
+    odd, short = cases[3], cases[5]
+    small_bag = cases[:3] + [GroundingCase(
+        odd.image_id, odd.sentence_index, odd.region_observations[:6],
+        odd.sentence_observation, (0, 1))] + cases[4:]
+    short_sentence = cases[:5] + [GroundingCase(
+        short.image_id, short.sentence_index, short.region_observations,
+        short.sentence_observation[:4], short.box)]
+    runs = (lambda c: evaluate_grounding(params, c),
+            lambda c: retrieval_eval(params, c),
+            lambda c: export_score_maps(tmp_path / "maps.json", params, c))
+    for run in runs:
+        with pytest.raises(ContractError,
+                           match=rf"region bag of case 3 \(image {odd.image_id}, "
+                                 rf"sentence {odd.sentence_index}\) has shape "
+                                 r"\(6, 6\), but region bag of case 0 .* "
+                                 r"has shape \(8, 6\)"):
+            run(small_bag)
+        with pytest.raises(ContractError,
+                           match=r"sentence of case 5 .* has shape \(4,\)"):
+            run(short_sentence)
 
 
 def test_export_score_maps(tmp_path):
@@ -366,6 +456,20 @@ def test_rank_of_match_perfect_diagonal():
     assert rank_of_match(table).tolist() == [1, 1, 1, 1]
 
 
+def test_rank_of_match_matches_double_loop_across_blocks(monkeypatch):
+    monkeypatch.setattr(evaluation, "RANK_BLOCK_ROWS", 8)
+    rng = np.random.default_rng(12)
+    q = 30
+    # nine score levels: exact ties everywhere, in both directions
+    table = np.round(rng.uniform(-1.0, 1.0, (q, q)) * 4) / 4
+    # rows 7 and 8 sit on either side of the first block boundary; each
+    # ties its own entry with a candidate before it and one after it
+    table[7, [3, 8]] = table[7, 7]
+    table[8, [7, 20]] = table[8, 8]
+    for t in (table, table.T):
+        assert rank_of_match(t).tolist() == oracles.match_ranks(t.tolist())
+
+
 def test_lower_median_convention():
     assert lower_median([4, 1, 3, 2]) == 2.0
     assert lower_median([5]) == 5.0
@@ -398,7 +502,6 @@ def test_retrieval_box_feature_is_box_mean():
     box_feats, sent_feats = retrieval_features(params, cases)
     assert box_feats.shape == (5, 5)
     assert sent_feats.shape == (5, 5)
-    from milalign.evaluation import encode_regions
     feats = encode_regions(params, cases[2].region_observations)
     want = feats[list(cases[2].box)].mean(axis=0)
     assert np.allclose(box_feats[2], want, atol=1e-12)
@@ -418,6 +521,34 @@ def test_retrieval_eval_on_clean_corpus_ranks_matches_high():
     assert b2s[1] <= b2s[3] <= b2s[6]
     assert result.box_to_sentence_medr < 30
     assert result.sentence_to_box_medr < 30
+
+
+def test_encode_calls_do_not_depend_on_case_count(monkeypatch, tmp_path):
+    corpus = tiny_corpus(documents=200)
+    _, params = tiny_params()
+    singles = single_concept_documents(corpus.documents)
+    prompts = prompt_bank(corpus.bank)
+    calls = []
+    encode_bag = evaluation.encode_bag
+
+    def counted(*args):
+        calls.append(args)
+        return encode_bag(*args)
+
+    monkeypatch.setattr(evaluation, "encode_bag", counted)
+    counts = []
+    for n in (10, 40):
+        docs = corpus.documents[:n]
+        cases = grounding_cases(docs)
+        calls.clear()
+        zero_shot_classify(params, LocalAggregatorSpec(kind="Max"), prompts,
+                           singles[:n])
+        pooled_image_features(params, docs)
+        evaluate_grounding(params, cases)
+        retrieval_eval(params, cases)
+        export_score_maps(tmp_path / "maps.json", params, cases)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

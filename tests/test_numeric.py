@@ -1,5 +1,5 @@
-"""Cosine helpers and population statistics against frozen
-hand-computed values and naive reimplementations."""
+"""Cosine helpers against frozen hand-computed values and naive
+reimplementations."""
 
 import numpy as np
 
@@ -7,7 +7,6 @@ import milalign.autodiff as ad
 import oracles
 from milalign.numeric import (
     cosine_matrix,
-    population_stats,
     unit_rows,
 )
 
@@ -57,18 +56,6 @@ def test_cosine_gradient():
 
         report = ad.finite_difference_check(f, x0)
         assert report.passed
-
-
-def test_population_stats_divides_by_n():
-    mean, var = population_stats(np.asarray([1.0, 0.8]))
-    assert abs(mean - 0.9) < 1e-15
-    assert abs(var - 0.01) < 1e-15
-
-
-def test_population_stats_single_value():
-    mean, var = population_stats(np.asarray([0.3]))
-    assert mean == 0.3
-    assert var == 0.0
 
 
 def test_unit_rows_makes_unit_norm():
