@@ -43,7 +43,7 @@ from .aggregators import (
     aggregate_local_axis,
 )
 from .encoders import ModelParams, encode_bag, unflatten_params
-from .numeric import cosine_matrix, normalize_rows
+from .numeric import cosine_matrix, normalize_rows, population_stats
 from .trainer import NonFiniteLossError, TrainConfig, train
 
 VARIANCE_GUARD = 1e-8
@@ -359,14 +359,8 @@ def box_masks(n_regions: int, boxes) -> np.ndarray:
 def cnr_rows(score_maps: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Per row, the contrast between in-box and out-of-box scores over the
     square root of the summed population variances (plus VARIANCE_GUARD)."""
-    n_in = np.count_nonzero(masks, axis=1)
-    n_out = masks.shape[1] - n_in
-    mean_in = np.where(masks, score_maps, 0.0).sum(axis=1) / n_in
-    mean_out = np.where(masks, 0.0, score_maps).sum(axis=1) / n_out
-    dev = score_maps - np.where(masks, mean_in[:, None], mean_out[:, None])
-    sq = dev * dev
-    var_in = np.where(masks, sq, 0.0).sum(axis=1) / n_in
-    var_out = np.where(masks, 0.0, sq).sum(axis=1) / n_out
+    mean_in, var_in = population_stats(score_maps, masks)
+    mean_out, var_out = population_stats(score_maps, ~masks)
     return np.abs(mean_in - mean_out) / np.sqrt(var_in + var_out + VARIANCE_GUARD)
 
 

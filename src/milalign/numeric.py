@@ -1,4 +1,4 @@
-"""Cosine helpers shared by scoring and evaluation.
+"""Cosine helpers shared by scoring and evaluation, and population stats.
 
 Cosine scores scale each row to unit norm, with the norm floored at
 NORM_EPS: on the tape through `unit_rows`, on plain arrays through
@@ -15,6 +15,20 @@ from .autodiff import ContractError, Var, as_var
 
 # Guard against division by a vanishing norm product in cosine scores.
 NORM_EPS = 1e-12
+
+
+def population_stats(values, mask=None):
+    """(mean, population variance) along the last axis, over the entries
+    where mask is true (every entry when mask is None). Each row needs at
+    least one such entry; a 1-D input gives scalars."""
+    v = np.asarray(values, dtype=np.float64)
+    m = np.ones(v.shape, dtype=bool) if mask is None else np.broadcast_to(mask, v.shape)
+    n = np.count_nonzero(m, axis=-1)
+    if v.ndim == 0 or np.any(n == 0):
+        raise ContractError("population_stats expects at least one value in each row")
+    mean = np.where(m, v, 0.0).sum(axis=-1) / n
+    dev = np.where(m, v - mean[..., None], 0.0)
+    return mean, (dev * dev).sum(axis=-1) / n
 
 
 def unit_rows(x) -> Var:

@@ -1,12 +1,15 @@
-"""Cosine helpers against frozen hand-computed values and naive
-reimplementations."""
+"""Cosine helpers and population statistics against frozen
+hand-computed values and naive reimplementations."""
 
 import numpy as np
+import pytest
 
 import milalign.autodiff as ad
 import oracles
+from milalign.autodiff import ContractError
 from milalign.numeric import (
     cosine_matrix,
+    population_stats,
     unit_rows,
 )
 
@@ -56,6 +59,29 @@ def test_cosine_gradient():
 
         report = ad.finite_difference_check(f, x0)
         assert report.passed
+
+
+def test_population_stats_divides_by_n():
+    mean, var = population_stats(np.asarray([1.0, 0.8]))
+    assert abs(mean - 0.9) < 1e-15
+    assert abs(var - 0.01) < 1e-15
+
+
+def test_population_stats_single_value():
+    mean, var = population_stats(np.asarray([0.3]))
+    assert mean == 0.3
+    assert var == 0.0
+
+
+def test_population_stats_masks_each_row():
+    values = np.asarray([[1.0, 0.8, 0.3], [0.5, 0.1, 0.9]])
+    mask = np.asarray([[True, True, False], [False, False, True]])
+    mean, var = population_stats(values, mask)
+    for row, keep, m, v in zip(values, mask, mean, var):
+        want_mean, want_var = population_stats(row[keep])
+        assert m == want_mean and v == want_var
+    with pytest.raises(ContractError, match="at least one value"):
+        population_stats(values, np.zeros_like(mask))
 
 
 def test_unit_rows_makes_unit_norm():
