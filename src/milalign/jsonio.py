@@ -4,6 +4,12 @@ Keys are emitted in sorted order and floats with 17 significant digits,
 which is enough for a float64 to round-trip exactly, so re-reading a file
 reproduces the original values bit for bit and hashing the serialization
 gives a stable fingerprint.
+
+A float64 ndarray is formatted as a whole: one finiteness check over the
+array, then one `%.17g` format string built for its shape and applied to
+all of its values at once. The text is the same as formatting each value
+with `format(x, ".17g")` inside nested lists; other arrays, lists and
+scalars go through the general recursive encoder.
 """
 
 from __future__ import annotations
@@ -23,6 +29,21 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _array_format(shape: tuple) -> str:
+    """%-format string that renders a C-ordered array of `shape` as nested
+    JSON lists of .17g floats."""
+    if not shape:
+        return "%.17g"
+    inner = _array_format(shape[1:])
+    return "[" + ",".join([inner] * shape[0]) + "]"
+
+
+def _float64_array(a: np.ndarray) -> str:
+    if not np.isfinite(a).all():
+        raise ContractError("cannot serialize non-finite float")
+    return _array_format(a.shape) % tuple(a.ravel().tolist())
+
+
 def _encode(obj, out: list) -> None:
     if obj is None:
         out.append("null")
@@ -37,7 +58,10 @@ def _encode(obj, out: list) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(obj))
     elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), out)
+        if obj.dtype == np.float64:
+            out.append(_float64_array(obj))
+        else:
+            _encode(obj.tolist(), out)
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):

@@ -149,12 +149,6 @@ def _rotation(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return q * signs
 
 
-def _background(rng: np.random.Generator, dim: int) -> np.ndarray:
-    # raw gaussian direction scaled to norm 0.5, half the prototype norm
-    v = rng.standard_normal(dim)
-    return 0.5 * v / max(float(np.sqrt(np.sum(v * v))), 1e-300)
-
-
 def generate_corpus(spec: CorpusSpec) -> Corpus:
     """Deterministically generate the bank and all documents from spec.seed."""
     rng = np.random.default_rng(spec.seed)
@@ -178,26 +172,28 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
         order = rng.permutation(spec.regions_per_image)
         boxes = []
         offset = 0
-        owner = [None] * spec.regions_per_image
+        owner = np.full(spec.regions_per_image, -1)
         for which, size in enumerate(sizes):
             members = sorted(int(i) for i in order[offset:offset + size])
             offset += size
             boxes.append(tuple(members))
-            for idx in members:
-                owner[idx] = which
+            owner[members] = which
         shared = rng.standard_normal((count, spec.region_dim))
+        # every region draws region_dim normals in index order; background
+        # rows become a raw gaussian direction scaled to norm 0.5, half the
+        # prototype norm, concept rows the prototype plus coupled noise
+        draw = rng.standard_normal((spec.regions_per_image, spec.region_dim))
+        background = owner < 0
+        raw = draw[background]
+        norms = np.sqrt(np.sum(raw * raw, axis=1))
+        owned = owner[~background]
         regions = np.empty((spec.regions_per_image, spec.region_dim))
-        concept_of_region = []
-        for idx in range(spec.regions_per_image):
-            which = owner[idx]
-            if which is None:
-                regions[idx] = _background(rng, spec.region_dim)
-                concept_of_region.append(None)
-            else:
-                noise = shared_scale * shared[which] \
-                    + own_scale * rng.standard_normal(spec.region_dim)
-                regions[idx] = protos[concepts[which]] + spec.noise_sigma * noise
-                concept_of_region.append(concepts[which])
+        regions[background] = 0.5 * raw / np.maximum(norms, 1e-300)[:, None]
+        noise = shared_scale * shared[owned] + own_scale * draw[~background]
+        regions[~background] = protos[np.asarray(concepts)[owned]] \
+            + spec.noise_sigma * noise
+        concept_of_region = [None if w < 0 else concepts[w]
+                             for w in owner.tolist()]
         described = min(count, spec.sentences_per_doc)
         sentences = np.empty((described, spec.sentence_dim))
         for which in range(described):
@@ -259,6 +255,14 @@ def _doc_from_dict(d: dict) -> SyntheticDocument:
     )
 
 
+def _fits_spec(doc: SyntheticDocument, spec: CorpusSpec) -> bool:
+    regions = doc.region_observations.shape
+    sentences = doc.sentence_observations.shape
+    return (regions == (spec.regions_per_image, spec.region_dim)
+            and len(sentences) == 2 and sentences[1] == spec.sentence_dim
+            and 1 <= sentences[0] <= spec.sentences_per_doc)
+
+
 def write_corpus(path, corpus: Corpus, config_fingerprint: str = "") -> None:
     """One JSON object per line: a header, then one line per document."""
     header = {
@@ -317,11 +321,20 @@ def read_corpus(path) -> Corpus:
         if not line.strip():
             raise ContractError(f"{path}: line {lineno}: blank line in corpus")
         try:
-            documents.append(_doc_from_dict(jsonio.loads(line)))
+            doc = _doc_from_dict(jsonio.loads(line))
         except (ValueError, KeyError, TypeError) as exc:
             raise ContractError(
                 f"{path}: line {lineno}: malformed document: {exc}"
             ) from exc
+        if not _fits_spec(doc, spec):
+            raise ContractError(
+                f"{path}: line {lineno}: image_id {doc.image_id}: regions "
+                f"{doc.region_observations.shape} and sentences "
+                f"{doc.sentence_observations.shape} do not fit the header "
+                f"spec: expected regions ({spec.regions_per_image}, "
+                f"{spec.region_dim}) and sentences (k, {spec.sentence_dim}) "
+                f"with 1 <= k <= {spec.sentences_per_doc}")
+        documents.append(doc)
     return Corpus(spec=spec, bank=bank, documents=documents)
 
 

@@ -1,13 +1,22 @@
-"""Straight-line references for the scoring path, the loss and the
-evaluation metrics.
+"""Straight-line references for the scoring path, the loss, the
+evaluation metrics, the canonical JSON encoder and the corpus generator.
 
-Plain Python floats written from the method's definitions: no tape ops,
-no max-shifts, no norm floors, no arrays. Specs are read for their fields
-only. Tests compare `pairwise_score_tables`, `infonce_score_table` and
-the batched evaluation against these, so nothing here may call into them.
+The scoring, loss and metric references use plain Python floats written
+from the method's definitions: no tape ops, no max-shifts, no norm
+floors, no arrays. Specs are read for their fields only. Tests compare
+`pairwise_score_tables`, `infonce_score_table` and the batched
+evaluation against these, so nothing here may call into them.
+
+`canonical_json` formats every value one at a time and `generate_corpus`
+draws and builds one region at a time: the element-by-element forms that
+`jsonio.dumps_canonical` and `synthgen.generate_corpus` must reproduce
+byte for byte.
 """
 
+import json
 import math
+
+import numpy as np
 
 
 def cos(a, b):
@@ -167,3 +176,100 @@ def match_ranks(table):
                     if table[i][j] > table[i][i]
                     or (table[i][j] == table[i][i] and j < i))
             for i in range(q)]
+
+
+def canonical_json(obj) -> str:
+    """Compact JSON, keys sorted, every float as format(x, ".17g"), arrays
+    as nested lists encoded value by value."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not np.isfinite(x):
+            raise ValueError("cannot serialize non-finite float")
+        return format(x, ".17g")
+    if isinstance(obj, np.ndarray):
+        return canonical_json(obj.tolist())
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(key) + ":" + canonical_json(obj[key])
+                              for key in sorted(obj)) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(canonical_json(item) for item in obj) + "]"
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _orthonormal(raw):
+    q, r = np.linalg.qr(raw)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0.0] = 1.0
+    return q * signs
+
+
+def generate_corpus(spec):
+    """(region prototypes, sentence prototypes, rotation, documents) with
+    each document a dict of its observations, concepts and boxes. Regions
+    are drawn and built one at a time, in index order."""
+    rng = np.random.default_rng(spec.seed)
+    protos = _orthonormal(rng.standard_normal((spec.region_dim,
+                                               spec.concepts))).T
+    rotation = _orthonormal(rng.standard_normal((spec.sentence_dim,
+                                                 spec.region_dim)))
+    sentence_protos = protos @ rotation.T
+    shared_scale = math.sqrt(spec.noise_coupling)
+    own_scale = math.sqrt(1.0 - spec.noise_coupling)
+    documents = []
+    for image_id in range(spec.documents):
+        count = int(rng.integers(spec.concepts_min, spec.concepts_max + 1))
+        concepts = [int(c) for c in rng.choice(spec.concepts, size=count,
+                                               replace=False)]
+        sizes = [int(s) for s in rng.integers(spec.box_min, spec.box_max + 1,
+                                              size=count)]
+        order = rng.permutation(spec.regions_per_image)
+        boxes = []
+        offset = 0
+        owner = [None] * spec.regions_per_image
+        for which, size in enumerate(sizes):
+            members = sorted(int(i) for i in order[offset:offset + size])
+            offset += size
+            boxes.append(tuple(members))
+            for idx in members:
+                owner[idx] = which
+        shared = rng.standard_normal((count, spec.region_dim))
+        regions = np.empty((spec.regions_per_image, spec.region_dim))
+        concept_of_region = []
+        for idx in range(spec.regions_per_image):
+            which = owner[idx]
+            if which is None:
+                v = rng.standard_normal(spec.region_dim)
+                regions[idx] = 0.5 * v / max(float(np.sqrt(np.sum(v * v))),
+                                             1e-300)
+                concept_of_region.append(None)
+            else:
+                noise = shared_scale * shared[which] \
+                    + own_scale * rng.standard_normal(spec.region_dim)
+                regions[idx] = protos[concepts[which]] + spec.noise_sigma * noise
+                concept_of_region.append(concepts[which])
+        described = min(count, spec.sentences_per_doc)
+        sentences = np.empty((described, spec.sentence_dim))
+        for which in range(described):
+            noise = shared_scale * (rotation @ shared[which]) \
+                + own_scale * rng.standard_normal(spec.sentence_dim)
+            sentences[which] = sentence_protos[concepts[which]] \
+                + spec.noise_sigma * noise
+        documents.append({
+            "image_id": image_id,
+            "regions": regions,
+            "region_concepts": concept_of_region,
+            "sentences": sentences,
+            "sentence_concepts": concepts[:described],
+            "boxes": boxes[:described],
+        })
+    return protos, sentence_protos, rotation, documents

@@ -249,25 +249,47 @@ def test_corrupt_corpus_exits_one(pipeline, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_eval_refuses_ragged_region_bags(pipeline, tmp_path, capsys):
-    # drop the last region of every document whose boxes leave it out
+def _ragged_corpus(pipeline, tmp_path):
+    """The pipeline corpus with the last region dropped from every document
+    whose boxes leave it out; returns the path and the first such line."""
     lines = pipeline.corpus_path.read_text().splitlines()
     edited = [lines[0]]
-    for line in lines[1:]:
+    first = None
+    for lineno, line in enumerate(lines[1:], start=2):
         doc = json.loads(line)
         if all(7 not in box for box in doc["boxes"]):
             doc["regions"] = doc["regions"][:7]
             doc["region_concepts"] = doc["region_concepts"][:7]
+            first = first or (lineno, doc["image_id"])
         edited.append(json.dumps(doc))
     ragged = tmp_path / "ragged.jsonl"
     ragged.write_text("\n".join(edited) + "\n")
+    return ragged, first
+
+
+def test_eval_refuses_ragged_region_bags(pipeline, tmp_path, capsys):
+    # the corpus reader refuses the first short bag, naming its line
+    ragged, (lineno, image_id) = _ragged_corpus(pipeline, tmp_path)
     rc = cli.main(["eval", "--config", str(pipeline.config_path),
                    "--checkpoint", str(pipeline.checkpoint_path),
                    "--corpus", str(ragged), "--tasks", "grounding",
                    "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "region bag of case" in err and "(7, 6)" in err and "(8, 6)" in err
+    assert f"line {lineno}: image_id {image_id}: regions (7, 6)" in err
+    assert "expected regions (8, 6)" in err
+
+
+def test_train_refuses_ragged_region_bags_before_any_step(pipeline, tmp_path,
+                                                          capsys):
+    ragged, (lineno, image_id) = _ragged_corpus(pipeline, tmp_path)
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--config", str(pipeline.config_path),
+                   "--corpus", str(ragged), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"line {lineno}: image_id {image_id}: regions (7, 6)" in err
+    assert not (out / "checkpoint.json").exists()
 
 
 def test_ablate_bad_seeds_flag(pipeline, tmp_path, capsys):

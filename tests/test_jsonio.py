@@ -1,13 +1,19 @@
-"""Canonical serialization: sorted keys, 17-digit floats, stable digests."""
+"""Canonical serialization: sorted keys, 17-digit floats, stable digests,
+and the whole-array float64 path against the value-by-value reference."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from milalign.autodiff import ContractError
+from milalign.config import experiment_from_dict
 from milalign.jsonio import dumps_canonical, fingerprint, format_float, loads
+from milalign.synthgen import (CorpusSpec, generate_corpus, write_corpus,
+                               write_prompts)
 
 
 def test_format_float_roundtrips_float64():
@@ -78,3 +84,93 @@ def test_rejects_unserializable_objects():
 def test_matches_stdlib_json_for_plain_content():
     obj = {"a": [1, 2], "b": "text"}
     assert json.loads(dumps_canonical(obj)) == obj
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1.5e300, -1.5e300, 1.0,
+               0.1, 1.0 / 3.0, -2.2250738585072014e-308, 123456789.0]
+
+
+def _float64_arrays():
+    rng = np.random.default_rng(7)
+    yield rng.standard_normal(5)
+    yield rng.standard_normal((4, 3))
+    yield rng.standard_normal((2, 3, 4)) * 10.0 ** rng.integers(-20, 20,
+                                                               (2, 3, 4))
+    yield np.array(EDGE_VALUES)
+    yield np.array(EDGE_VALUES).reshape(3, 4)
+    yield np.array(2.5)
+    for shape in ((0,), (0, 3), (3, 0)):
+        yield np.zeros(shape)
+    base = rng.standard_normal((6, 8))
+    yield base[::2, 1::3]
+    yield base[:, 5]
+    yield base.T
+    yield np.asfortranarray(base)
+    yield np.asfortranarray(rng.standard_normal((3, 4, 2)))
+
+
+@pytest.mark.parametrize("arr", list(_float64_arrays()),
+                         ids=lambda a: f"{a.shape}-"
+                         f"{'F' if a.flags.f_contiguous else 'C'}")
+def test_float64_arrays_match_the_value_by_value_reference(arr):
+    assert arr.dtype == np.float64
+    want = oracles.canonical_json(arr)
+    assert dumps_canonical(arr) == want
+    assert dumps_canonical({"a": arr, "b": [arr, 1]}) == \
+        oracles.canonical_json({"a": arr, "b": [arr, 1]})
+
+
+def test_edge_values_keep_their_17_digit_text():
+    text = dumps_canonical(np.array(EDGE_VALUES))
+    assert text == "[" + ",".join(format(x, ".17g") for x in EDGE_VALUES) + "]"
+    assert text.startswith("[-0,0,4.9406564584124654e-324,")
+    assert loads(text) == EDGE_VALUES
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_array_entry_raises_the_scalar_message(bad):
+    arr = np.ones((3, 4))
+    arr[2, 1] = bad
+    with pytest.raises(ContractError) as scalar:
+        format_float(bad)
+    with pytest.raises(ContractError) as whole:
+        dumps_canonical({"x": arr})
+    with pytest.raises(ValueError) as reference:
+        oracles.canonical_json(arr)
+    assert str(whole.value) == str(scalar.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("arr", [
+    np.arange(6).reshape(2, 3),
+    np.array([[True, False], [False, True]]),
+    np.array([0.1, -0.0, 1e-40, 3.0], dtype=np.float32).reshape(2, 2),
+    np.zeros((2, 0), dtype=np.int64),
+], ids=["int", "bool", "float32", "empty-int"])
+def test_other_dtypes_encode_as_before(arr):
+    assert dumps_canonical(arr) == oracles.canonical_json(arr)
+
+
+# SHA-256 of write_corpus + write_prompts output (config fingerprint "abc")
+# for CorpusSpec(documents=50, seed=...), recorded with the value-by-value
+# encoder and the per-region generator; any drift in the file format or the
+# generated values changes them
+GOLDEN_CORPUS_FILES = {
+    0: ("2c8b8158223bcc7da8e5caf01986682cb8f54c55d263cdcdf07bf06bb26be94c",
+        "a747ab9d31cb0352caac2266cdcddc0551664fc271432b59c1e30da03a535e95"),
+    1: ("64a4f2ac9237ee4ddccfa0ed974499458443eb54013e0b0af7c1a729a8563944",
+        "06cf4a00dd78fd7d07046dd7a02bf535a1a5987af562c7f0c1bf5c0cd74d7f20"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CORPUS_FILES))
+def test_corpus_and_prompt_files_keep_their_golden_bytes(tmp_path, seed):
+    corpus = generate_corpus(CorpusSpec(documents=50, seed=seed))
+    write_corpus(tmp_path / "corpus.jsonl", corpus, "abc")
+    write_prompts(tmp_path / "prompts.json", corpus.bank, "abc")
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("corpus.jsonl", "prompts.json"))
+    assert got == GOLDEN_CORPUS_FILES[seed]
+
+
+def test_default_experiment_fingerprint_is_pinned():
+    assert experiment_from_dict({}).fingerprint == "bb5814d7c3f8f5e6"

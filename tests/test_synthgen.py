@@ -2,10 +2,12 @@
 cross-modal noise coupling, and the line-oriented disk format."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import oracles
 from milalign.autodiff import ContractError
 from milalign.synthgen import (
     Corpus,
@@ -64,6 +66,42 @@ def test_generation_is_deterministic():
     c = generate_corpus(tiny_spec(seed=1))
     assert not np.array_equal(a.documents[0].region_observations,
                               c.documents[0].region_observations)
+
+
+IDENTITY_SPECS = {
+    "default": dict(documents=60),
+    "tiny": dict(concepts=4, region_dim=6, sentence_dim=6,
+                 regions_per_image=10, sentences_per_doc=2, documents=80,
+                 concepts_max=2, box_min=2, box_max=3, seed=5),
+    "dim8": dict(region_dim=8, sentence_dim=8, documents=60, seed=1),
+    "dim33": dict(region_dim=33, sentence_dim=40, documents=40, seed=2),
+    "uncoupled": dict(noise_coupling=0.0, documents=60, seed=3),
+    "coupled": dict(noise_coupling=1.0, noise_sigma=0.3, documents=60,
+                    seed=4),
+    "no-background": dict(concepts=4, region_dim=6, sentence_dim=6,
+                          regions_per_image=6, concepts_min=3,
+                          concepts_max=3, box_min=2, box_max=2,
+                          documents=30, seed=6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_SPECS))
+def test_generation_matches_the_per_region_reference(name):
+    spec = CorpusSpec(**IDENTITY_SPECS[name])
+    corpus = generate_corpus(spec)
+    protos, sentence_protos, rotation, documents = \
+        oracles.generate_corpus(spec)
+    assert np.array_equal(corpus.bank.region_prototypes, protos)
+    assert np.array_equal(corpus.bank.sentence_prototypes, sentence_protos)
+    assert np.array_equal(corpus.bank.modality_rotation, rotation)
+    assert len(corpus.documents) == len(documents)
+    for doc, want in zip(corpus.documents, documents):
+        assert doc.image_id == want["image_id"]
+        assert np.array_equal(doc.region_observations, want["regions"])
+        assert np.array_equal(doc.sentence_observations, want["sentences"])
+        assert doc.region_concepts == want["region_concepts"]
+        assert doc.sentence_concepts == want["sentence_concepts"]
+        assert doc.boxes == want["boxes"]
 
 
 def test_prototypes_are_orthonormal_and_rotated():
@@ -219,6 +257,41 @@ def test_read_corpus_error_reporting(tmp_path):
     broken.write_text("\n".join(lines) + "\n")
     with pytest.raises(ContractError, match="line 3"):
         read_corpus(broken)
+
+
+def _edit_document(doc, edit):
+    if edit == "dropped region":
+        doc["regions"] = doc["regions"][:-1]
+        return "(9, 6)"
+    if edit == "wrong width":
+        doc["regions"] = [row + [0.0] for row in doc["regions"]]
+        return "(10, 7)"
+    if edit == "too many sentences":
+        doc["sentences"] = [doc["sentences"][0]] * 3
+        return "(3, 6)"
+    doc["sentences"] = []
+    return "(0,)"
+
+
+@pytest.mark.parametrize("edit", ["dropped region", "wrong width",
+                                  "too many sentences",
+                                  "empty sentence list"])
+def test_read_corpus_refuses_bags_that_do_not_fit_the_spec(tmp_path, edit):
+    corpus = generate_corpus(tiny_spec(documents=4))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[3])
+    found = _edit_document(doc, edit)
+    lines[3] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError) as err:
+        read_corpus(path)
+    message = str(err.value)
+    assert f"line 4: image_id {doc['image_id']}:" in message
+    assert found in message
+    assert "expected regions (10, 6) and sentences (k, 6) " \
+        "with 1 <= k <= 2" in message
 
 
 def test_header_only_corpus_reads_empty(tmp_path):
