@@ -16,7 +16,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from . import jsonio
@@ -168,8 +167,8 @@ def _local_core(spec: LocalAggregatorSpec, scores: Var, axis: int) -> Var:
         a, b = spec.nand_slope, spec.nand_offset
         p = ad.mul(ad.add(scores, 1.0), 0.5)
         pbar = ad.vmean(p, axis=axis)
-        lo = float(expit(-a * b))
-        hi = float(expit(a * (1.0 - b)))
+        lo = float(ad.expit(-a * b))
+        hi = float(ad.expit(a * (1.0 - b)))
         q = ad.div(ad.sub(ad.sigmoid(ad.mul(ad.sub(pbar, b), a)), lo), hi - lo)
         return ad.sub(ad.mul(q, 2.0), 1.0)
     raise ContractError(f"unknown local aggregator kind: {spec.kind!r}")

@@ -13,10 +13,10 @@ same inputs are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 
 class ContractError(ValueError):
@@ -191,6 +191,25 @@ def log(x):
 
 def sqrt(x):
     return _unary(x, np.sqrt, lambda g, v, out: g / (2.0 * out))
+
+
+def _logistic(t: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:  # exp(-t) is +inf, so the logistic is 0
+        return 0.0
+
+
+_logistic_each = np.frompyfunc(_logistic, 1, 1)
+
+
+def expit(x) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)) with the C library's `exp` (through
+    `math.exp`), so the values do not depend on numpy's vectorized `exp`;
+    0.0 where exp(-x) overflows. The overflow flag that `exp` raises there
+    is not a warning."""
+    with np.errstate(over="ignore"):
+        return np.asarray(_logistic_each(_value(x)), dtype=np.float64)
 
 
 def sigmoid(x):

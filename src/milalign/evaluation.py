@@ -19,8 +19,9 @@ plain numpy cosines (`numeric.normalize_rows`, `numeric.cosine_matrix`);
 evaluation never goes through the tape's scoring ops. Grounding scores
 every case as one (cases, N) array and reduces it with masked array
 expressions; the one-map functions `cnr`, `miou` and `grounding_hit` are
-one-row calls of the same expressions. Retrieval ranks compare a block
-of rows at a time against their own entries.
+one-row calls of the same expressions. Retrieval builds its cosine table
+a block of rows at a time, in each direction, and ranks each block's rows
+against their own entries.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax as _softmax
-from scipy.stats import rankdata
 
+from . import autodiff as ad
 from . import jsonio
 from .autodiff import ContractError
 from .aggregators import (
@@ -48,8 +48,8 @@ from .trainer import NonFiniteLossError, TrainConfig, train
 
 VARIANCE_GUARD = 1e-8
 IOU_THRESHOLDS = np.arange(-20, 21) * 5 / 100.0  # -1.00 .. 1.00 in 0.05 steps
-# Query rows `rank_of_match` compares at a time; its temporaries are
-# (RANK_BLOCK_ROWS, q) rather than (q, q).
+# Query rows `rank_of_match` and `cosine_match_ranks` compare at a time;
+# their temporaries are (RANK_BLOCK_ROWS, q) rather than (q, q).
 RANK_BLOCK_ROWS = 256
 
 
@@ -174,7 +174,7 @@ def zero_shot_classify(params: ModelParams, local_agg: LocalAggregatorSpec,
     if not documents:
         raise ContractError("zero-shot classification needs at least one image")
     raw = zero_shot_score_table(params, local_agg, prompts, documents)
-    probs = _softmax(minmax_normalize_columns(raw), axis=1)
+    probs = ad.softmax(minmax_normalize_columns(raw), 1.0, axis=1).value
     predictions = np.argmax(probs, axis=1)
     labels = np.array([document_label(doc) for doc in documents])
     accuracy = float(np.mean(predictions == labels))
@@ -194,6 +194,20 @@ class ProbeResult:
     bias: np.ndarray
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-D array, each group of equal values taking
+    the mean of the ranks it spans (an exact half-integer)."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="mergesort")
+    ordered = v[order]
+    # [start, end) positions of each run of equal values in sorted order
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], v.size]
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def rank_auc(scores, positive_mask) -> float:
     """Rank-based (Mann-Whitney) area under the ROC curve, ties averaged."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -202,7 +216,7 @@ def rank_auc(scores, positive_mask) -> float:
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ContractError("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     return float((ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0)
                  / (n_pos * n_neg))
 
@@ -235,12 +249,12 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
     bias = np.zeros(classes)
     onehot = np.eye(classes)[y_tr]
     for _ in range(iterations):
-        probs = _softmax(x_tr @ weights.T + bias, axis=1)
+        probs = ad.softmax(x_tr @ weights.T + bias, 1.0, axis=1).value
         delta = (probs - onehot) / n
         weights -= lr * (delta.T @ x_tr)
         bias -= lr * delta.sum(axis=0)
 
-    test_probs = _softmax(x_te @ weights.T + bias, axis=1)
+    test_probs = ad.softmax(x_te @ weights.T + bias, 1.0, axis=1).value
     accuracy = float(np.mean(np.argmax(test_probs, axis=1) == y_te))
     aucs = []
     for c in range(classes):
@@ -475,16 +489,13 @@ def retrieval_features(params: ModelParams, cases):
     return boxes, encode_sentences(params, sentences)
 
 
-def rank_of_match(score_table: np.ndarray) -> np.ndarray:
-    """1-based rank of the diagonal entry per row under descending-score
-    order, ties broken by candidate index ascending."""
-    t = np.asarray(score_table, dtype=np.float64)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ContractError("retrieval score table must be square")
-    q = t.shape[0]
+def _ranks_by_block(q: int, rows) -> np.ndarray:
+    """1-based rank of entry i in row i of a (q, q) table whose rows
+    `rows(start, stop)` returns, RANK_BLOCK_ROWS rows at a time, under
+    descending-score order, ties broken by candidate index ascending."""
     ranks = np.empty(q, dtype=np.int64)
     for start in range(0, q, RANK_BLOCK_ROWS):
-        block = t[start:start + RANK_BLOCK_ROWS]
+        block = rows(start, start + RANK_BLOCK_ROWS)
         local = np.arange(block.shape[0])
         own = block[local, start + local][:, None]
         better = np.count_nonzero(block > own, axis=1)
@@ -496,6 +507,26 @@ def rank_of_match(score_table: np.ndarray) -> np.ndarray:
         earlier = np.bincount(k[col < start + k], minlength=block.shape[0])
         ranks[start:start + block.shape[0]] = 1 + better + earlier
     return ranks
+
+
+def rank_of_match(score_table: np.ndarray) -> np.ndarray:
+    """1-based rank of the diagonal entry per row under descending-score
+    order, ties broken by candidate index ascending."""
+    t = np.asarray(score_table, dtype=np.float64)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ContractError("retrieval score table must be square")
+    return _ranks_by_block(t.shape[0], lambda start, stop: t[start:stop])
+
+
+def cosine_match_ranks(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """`rank_of_match` of the cosine table between paired query and
+    candidate rows, built RANK_BLOCK_ROWS query rows at a time so that no
+    (q, q) table is held."""
+    if len(queries) != len(candidates):
+        raise ContractError("retrieval needs one candidate per query")
+    return _ranks_by_block(
+        len(queries),
+        lambda start, stop: cosine_matrix(queries[start:stop], candidates))
 
 
 def lower_median(values) -> float:
@@ -511,9 +542,8 @@ def scaled_k_values(count: int) -> tuple:
 
 def retrieval_eval(params: ModelParams, cases) -> RetrievalResult:
     box_feats, sent_feats = retrieval_features(params, cases)
-    table = cosine_matrix(box_feats, sent_feats)
-    b2s = rank_of_match(table)
-    s2b = rank_of_match(table.T)
+    b2s = cosine_match_ranks(box_feats, sent_feats)
+    s2b = cosine_match_ranks(sent_feats, box_feats)
     count = len(cases)
     ks = scaled_k_values(count)
     return RetrievalResult(

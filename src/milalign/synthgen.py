@@ -263,6 +263,40 @@ def _fits_spec(doc: SyntheticDocument, spec: CorpusSpec) -> bool:
             and 1 <= sentences[0] <= spec.sentences_per_doc)
 
 
+def _list_problem(doc: SyntheticDocument, spec: CorpusSpec) -> str | None:
+    """What is wrong with the lists that describe a document's bags, or
+    None. The bags themselves must already fit the spec."""
+    sentences = doc.sentence_observations.shape[0]
+    regions = spec.regions_per_image
+    if len(doc.sentence_concepts) != sentences:
+        return (f"sentence_concepts has {len(doc.sentence_concepts)} entries "
+                f"for {sentences} sentences")
+    bad = [c for c in doc.sentence_concepts if not 0 <= c < spec.concepts]
+    if bad:
+        return f"sentence_concepts has id {bad[0]} outside [0, {spec.concepts})"
+    if len(doc.region_concepts) != regions:
+        return (f"region_concepts has {len(doc.region_concepts)} entries for "
+                f"{regions} regions")
+    bad = [c for c in doc.region_concepts
+           if c is not None and not 0 <= c < spec.concepts]
+    if bad:
+        return (f"region_concepts has id {bad[0]} outside "
+                f"[0, {spec.concepts}) and not null")
+    if len(doc.boxes) != sentences:
+        return f"boxes has {len(doc.boxes)} boxes for {sentences} sentences"
+    for j, box in enumerate(doc.boxes):
+        if not box:
+            return f"boxes[{j}] is empty"
+        if len(set(box)) != len(box):
+            return f"boxes[{j}] {list(box)} has duplicate region indices"
+        if min(box) < 0 or max(box) >= regions:
+            return f"boxes[{j}] {list(box)} has an index outside [0, {regions})"
+        if len(box) >= regions:
+            return (f"boxes[{j}] has {len(box)} of the {regions} regions: a box "
+                    f"must be a proper subset")
+    return None
+
+
 def write_corpus(path, corpus: Corpus, config_fingerprint: str = "") -> None:
     """One JSON object per line: a header, then one line per document."""
     header = {
@@ -334,6 +368,10 @@ def read_corpus(path) -> Corpus:
                 f"spec: expected regions ({spec.regions_per_image}, "
                 f"{spec.region_dim}) and sentences (k, {spec.sentence_dim}) "
                 f"with 1 <= k <= {spec.sentences_per_doc}")
+        problem = _list_problem(doc, spec)
+        if problem is not None:
+            raise ContractError(
+                f"{path}: line {lineno}: image_id {doc.image_id}: {problem}")
         documents.append(doc)
     return Corpus(spec=spec, bank=bank, documents=documents)
 

@@ -33,7 +33,10 @@ def softmax(logits, gamma=1.0):
 
 
 def _sigmoid(t):
-    return 1.0 / (1.0 + math.exp(-t))
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:  # exp(-t) is +inf
+        return 0.0
 
 
 def local(spec, scores):
@@ -166,6 +169,16 @@ def grounding(scores, box, thresholds, guard):
         total += len(predicted & members) / len(predicted | members)
     top = max(range(len(s)), key=lambda i: s[i])  # first maximal
     return contrast, total / len(thresholds), top in members
+
+
+def mann_whitney_auc(scores, positive):
+    """Share of (positive, negative) pairs the positive wins, a tie
+    counting half."""
+    pos = [float(s) for s, p in zip(scores, positive) if p]
+    neg = [float(s) for s, p in zip(scores, positive) if not p]
+    wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
+               for a in pos for b in neg)
+    return wins / (len(pos) * len(neg))
 
 
 def match_ranks(table):

@@ -1,9 +1,12 @@
 """Reverse-mode engine: hand-derived gradients, broadcasting, and the
 finite-difference harness itself."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import oracles
 import milalign.autodiff as ad
 from milalign.autodiff import ContractError, Var, finite_difference_check
 
@@ -59,6 +62,23 @@ def test_sigmoid_matches_logistic():
     s = 1 / (1 + np.exp(-0.3))
     assert np.isclose(y.value, s)
     assert np.isclose(x.grad, s * (1 - s))
+
+
+def test_expit_is_the_libm_logistic_bit_for_bit():
+    # numpy's vectorized exp may differ from the C library's by an ulp;
+    # expit must not, and must give 0.0 silently where exp(-x) overflows
+    edges = [0.0, 1e-300, 1e-3, 5.0, 36.8, 709.0, 709.8, 710.0, 745.0, 1000.0]
+    points = np.asarray(edges + [-x for x in edges])
+    cube = np.random.default_rng(3).standard_normal((32, 32, 5)) * 40.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in [points, cube, np.asarray(-745.0)]:
+            got = ad.expit(x)
+            assert got.dtype == np.float64 and got.shape == x.shape
+            want = [oracles._sigmoid(t) for t in x.ravel().tolist()]
+            assert got.ravel().tolist() == want
+        assert ad.sigmoid(Var(points)).value.tolist() == \
+            [oracles._sigmoid(t) for t in points.tolist()]
 
 
 def test_matmul_gradients_match_explicit_sums():

@@ -292,6 +292,43 @@ def test_train_refuses_ragged_region_bags_before_any_step(pipeline, tmp_path,
     assert not (out / "checkpoint.json").exists()
 
 
+def _every_document_edited(pipeline, tmp_path, edit):
+    lines = pipeline.corpus_path.read_text().splitlines()
+    docs = [json.loads(line) for line in lines[1:]]
+    for doc in docs:
+        edit(doc)
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("\n".join([lines[0]] + [json.dumps(d) for d in docs]) + "\n")
+    return edited, docs[0]["image_id"]
+
+
+def _first_box_index_99(doc):
+    doc["boxes"][0][0] = 99
+
+
+def _extra_sentence_concept(doc):
+    doc["sentence_concepts"].append(0)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_first_box_index_99, "boxes[0] [99, "),
+    (_extra_sentence_concept, "sentence_concepts has "),
+], ids=["box index 99", "extra sentence concept"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_corpus_lists_that_do_not_describe_the_bags_exit_one(
+        pipeline, tmp_path, capsys, edit, field, command):
+    edited, image_id = _every_document_edited(pipeline, tmp_path, edit)
+    out = tmp_path / "out"
+    args = [command, "--config", str(pipeline.config_path),
+            "--corpus", str(edited), "--out", str(out)]
+    if command == "eval":
+        args += ["--checkpoint", str(pipeline.checkpoint_path)]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert f"line 2: image_id {image_id}: {field}" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_ablate_bad_seeds_flag(pipeline, tmp_path, capsys):
     rc = cli.main(["ablate", "--config", str(pipeline.config_path),
                    "--corpus", str(pipeline.corpus_path),

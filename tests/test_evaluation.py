@@ -52,6 +52,7 @@ from milalign.evaluation import (
     zero_shot_classify,
     zero_shot_score_table,
 )
+from milalign.numeric import cosine_matrix
 from milalign.synthgen import (
     CorpusSpec,
     SyntheticDocument,
@@ -151,6 +152,8 @@ def test_zero_shot_after_brief_training():
     assert result.raw_scores.shape == (len(singles), 4)
     assert result.probabilities.shape == (len(singles), 4)
     assert np.allclose(result.probabilities.sum(axis=1), 1.0, atol=1e-12)
+    assert np.array_equal(result.probabilities, _textbook_softmax(
+        minmax_normalize_columns(result.raw_scores)))
     assert result.predictions.shape == (len(singles),)
     assert result.accuracy > 0.9
     with pytest.raises(ContractError):
@@ -189,21 +192,50 @@ def test_rank_auc_frozen_values():
 
 
 def test_rank_auc_matches_pair_counting():
+    # exact: average ranks are half-integers, so the rank sum is the
+    # pair count plus n_pos (n_pos + 1) / 2 with no rounding
     rng = np.random.default_rng(0)
-    for _ in range(30):
-        scores = rng.standard_normal(12)
-        labels = rng.integers(0, 2, size=12).astype(bool)
-        if labels.all() or not labels.any():
-            continue
-        wins = 0.0
-        for i in np.flatnonzero(labels):
-            for j in np.flatnonzero(~labels):
-                if scores[i] > scores[j]:
-                    wins += 1.0
-                elif scores[i] == scores[j]:
-                    wins += 0.5
-        want = wins / (labels.sum() * (~labels).sum())
-        assert abs(rank_auc(scores, labels) - want) < 1e-12
+    for levels in (None, 3, 6):  # distinct scores, then heavy ties
+        for _ in range(30):
+            scores = rng.standard_normal(40)
+            if levels is not None:
+                scores = np.round(scores * levels / 2) / levels
+            labels = rng.integers(0, 2, size=40).astype(bool)
+            if labels.all() or not labels.any():
+                continue
+            assert rank_auc(scores, labels) == \
+                oracles.mann_whitney_auc(scores.tolist(), labels.tolist())
+
+
+def test_average_ranks_split_ties_evenly():
+    assert evaluation.average_ranks([3.0, 1.0, 3.0, 2.0, 3.0]).tolist() == \
+        [4.0, 1.0, 4.0, 2.0, 4.0]
+    assert evaluation.average_ranks([0.5, 0.5]).tolist() == [1.5, 1.5]
+
+
+def _textbook_softmax(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def test_probe_softmax_is_the_textbook_expression_bit_for_bit():
+    rng = np.random.default_rng(4)
+    x_tr, x_te = rng.standard_normal((30, 5)), rng.standard_normal((20, 5))
+    y_tr, y_te = rng.integers(0, 3, size=30), rng.integers(0, 3, size=20)
+    y_tr[:3] = y_te[:3] = [0, 1, 2]
+    result = linear_probe(x_tr, y_tr, x_te, y_te, iterations=40, lr=0.5)
+    weights, bias = np.zeros((3, 5)), np.zeros(3)
+    onehot = np.eye(3)[y_tr]
+    for _ in range(40):
+        delta = (_textbook_softmax(x_tr @ weights.T + bias) - onehot) / 30
+        weights -= 0.5 * (delta.T @ x_tr)
+        bias -= 0.5 * delta.sum(axis=0)
+    assert np.array_equal(result.weights, weights)
+    assert np.array_equal(result.bias, bias)
+    probs = _textbook_softmax(x_te @ weights.T + bias)
+    assert result.auc == np.mean([
+        oracles.mann_whitney_auc(probs[:, c].tolist(), (y_te == c).tolist())
+        for c in range(3)])
 
 
 def test_linear_probe_separates_clean_clusters():
@@ -342,7 +374,6 @@ def test_grounding_score_map_is_raw_cosine():
     smap = grounding_score_map(params, case)
     assert smap.shape == (8,)
     assert np.all(smap >= -1.0) and np.all(smap <= 1.0)
-    from milalign.numeric import cosine_matrix
     feats = encode_regions(params, case.region_observations)
     sent = encode_sentences(params, case.sentence_observation[None, :])
     assert np.allclose(smap, cosine_matrix(feats, sent)[:, 0], atol=1e-12)
@@ -468,6 +499,30 @@ def test_rank_of_match_matches_double_loop_across_blocks(monkeypatch):
     table[8, [7, 20]] = table[8, 8]
     for t in (table, table.T):
         assert rank_of_match(t).tolist() == oracles.match_ranks(t.tolist())
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_blocked_cosine_ranks_match_the_full_table(monkeypatch, ties):
+    # q = 30 is not a multiple of the block size
+    monkeypatch.setattr(evaluation, "RANK_BLOCK_ROWS", 8)
+    rng = np.random.default_rng(21)
+    q, dim = 30, 8
+    if ties:
+        # four entries of +-1 per row: every unit entry is +-0.5, so every
+        # cosine is an exact multiple of 0.25 and ties are everywhere
+        signs = rng.choice([-1.0, 1.0], size=(2 * q, dim))
+        keep = np.argsort(rng.random((2 * q, dim)), axis=1) < 4
+        feats = signs * keep
+    else:
+        feats = rng.standard_normal((2 * q, dim))
+    boxes, sentences = feats[:q], feats[q:]
+    table = cosine_matrix(boxes, sentences)
+    assert evaluation.cosine_match_ranks(boxes, sentences).tolist() == \
+        oracles.match_ranks(table.tolist())
+    assert evaluation.cosine_match_ranks(sentences, boxes).tolist() == \
+        oracles.match_ranks(table.T.tolist())
+    with pytest.raises(ContractError):
+        evaluation.cosine_match_ranks(boxes, sentences[:-1])
 
 
 def test_lower_median_convention():

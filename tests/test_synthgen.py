@@ -294,6 +294,59 @@ def test_read_corpus_refuses_bags_that_do_not_fit_the_spec(tmp_path, edit):
         "with 1 <= k <= 2" in message
 
 
+def _put(field, index, value):
+    def edit(doc):
+        doc[field][index] = value
+    return edit
+
+
+def _set_first_box_index(doc, value):
+    doc["boxes"][0][0] = value
+
+
+@pytest.mark.parametrize("edit, found", [
+    (lambda d: _set_first_box_index(d, 99),
+     "boxes[0] [99, "),
+    (lambda d: d["sentence_concepts"].append(0),
+     "sentence_concepts has 3 entries for 2 sentences"),
+    (_put("sentence_concepts", 1, 4),
+     "sentence_concepts has id 4 outside [0, 4)"),
+    (lambda d: d["region_concepts"].pop(),
+     "region_concepts has 9 entries for 10 regions"),
+    (_put("region_concepts", 0, -1),
+     "region_concepts has id -1 outside [0, 4) and not null"),
+    (lambda d: d["boxes"].pop(),
+     "boxes has 1 boxes for 2 sentences"),
+    (_put("boxes", 1, []),
+     "boxes[1] is empty"),
+    (lambda d: _set_first_box_index(d, d["boxes"][0][1]),
+     "has duplicate region indices"),
+    (_put("boxes", 0, list(range(10))),
+     "boxes[0] has 10 of the 10 regions: a box must be a proper subset"),
+], ids=["box index out of range", "extra sentence concept",
+        "sentence concept out of range", "missing region concept",
+        "region concept out of range", "missing box", "empty box",
+        "duplicate box index", "box of every region"])
+def test_read_corpus_refuses_lists_that_do_not_describe_the_bags(
+        tmp_path, edit, found):
+    corpus = generate_corpus(tiny_spec(documents=6))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    # the first document with two sentences, so every edit applies
+    lineno = next(i for i, line in enumerate(lines[1:], start=2)
+                  if len(json.loads(line)["sentences"]) == 2)
+    doc = json.loads(lines[lineno - 1])
+    edit(doc)
+    lines[lineno - 1] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError) as err:
+        read_corpus(path)
+    message = str(err.value)
+    assert f"line {lineno}: image_id {doc['image_id']}: " in message
+    assert found in message
+
+
 def test_header_only_corpus_reads_empty(tmp_path):
     corpus = generate_corpus(tiny_spec(documents=5))
     path = tmp_path / "c.jsonl"
