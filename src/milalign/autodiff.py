@@ -38,17 +38,6 @@ class Var:
         self._vjp = vjp
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    def item(self) -> float:
-        return float(self.value)
-
     def backward(self) -> None:
         """Accumulate d(self)/d(node) into `.grad` for every node feeding self."""
         if self.value.ndim != 0:
@@ -64,35 +53,6 @@ class Var:
                 if g is None:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
-
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)

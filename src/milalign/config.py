@@ -6,6 +6,12 @@ typo in an aggregator name cannot silently fall back to a default.
 Aggregator sub-objects replace their default wholesale (merging would
 leak the default LSE gamma into, say, a Max override); everything else
 merges field by field on top of the defaults.
+
+Each schema has one reader, shared with the files that embed it: the
+`corpus` section goes through `synthgen.spec_from_dict` (which also reads
+corpus headers) and the `train` section, with the model dimensions taken
+from the corpus, through `trainer.train_config_from_dict` (which also
+reads checkpoints).
 """
 
 from __future__ import annotations
@@ -16,14 +22,9 @@ from dataclasses import dataclass
 
 from . import jsonio
 from .autodiff import ContractError
-from .aggregators import (
-    global_spec_from_dict,
-    local_spec_from_dict,
-    sentence_spec_from_dict,
-)
-from .encoders import ModelConfig
-from .synthgen import CorpusSpec
-from .trainer import TrainConfig, read_betas
+from .encoders import global_param_flags
+from .synthgen import CorpusSpec, spec_from_dict
+from .trainer import TrainConfig, train_config_from_dict
 
 _AGG_PATHS = ("train.local_agg", "train.global_agg", "train.sentence_agg")
 _AGG_KEYS = {
@@ -31,12 +32,6 @@ _AGG_KEYS = {
     "train.global_agg": {"kind", "gamma"},
     "train.sentence_agg": {"kind", "gamma"},
 }
-
-_CORPUS_INT_FIELDS = ("concepts", "region_dim", "sentence_dim",
-                      "regions_per_image", "sentences_per_doc", "documents",
-                      "concepts_min", "concepts_max", "box_min", "box_max",
-                      "seed")
-_CORPUS_FLOAT_FIELDS = ("noise_sigma", "noise_coupling", "train_fraction")
 
 
 def default_config() -> dict:
@@ -142,47 +137,18 @@ class ExperimentConfig:
 def experiment_from_dict(data: dict) -> ExperimentConfig:
     merged = merge_config(data)
 
-    corpus_raw = merged["corpus"]
-    for name in _CORPUS_INT_FIELDS:
-        _require_int(corpus_raw, name, "corpus")
-    for name in _CORPUS_FLOAT_FIELDS:
-        jsonio.require_float(corpus_raw, name, "corpus")
-    corpus = CorpusSpec(**corpus_raw)
-
+    corpus = spec_from_dict(merged["corpus"], "corpus")
     model_raw = merged["model"]
-    hidden = _require_int(model_raw, "hidden_dim", "model", minimum=1)
-    embed = _require_int(model_raw, "embed_dim", "model", minimum=1)
-
     train_raw = merged["train"]
-    local_agg = local_spec_from_dict(train_raw["local_agg"], "train.local_agg")
-    global_agg = global_spec_from_dict(train_raw["global_agg"],
-                                       "train.global_agg")
-    sentence_agg = sentence_spec_from_dict(train_raw["sentence_agg"],
-                                           "train.sentence_agg")
-    model = ModelConfig(
-        region_input_dim=corpus.region_dim,
-        sentence_input_dim=corpus.sentence_dim,
-        hidden_dim=hidden,
-        embed_dim=embed,
-        use_nl=global_agg is not None and global_agg.kind == "NL",
-        use_att=global_agg is not None and global_agg.kind == "Att",
-    )
-    train = TrainConfig(
-        model=model,
-        local_agg=local_agg,
-        global_agg=global_agg,
-        sentence_agg=sentence_agg,
-        batch_size=_require_int(train_raw, "batch_size", "train"),
-        sentences_per_bag=_require_int(train_raw, "sentences_per_bag", "train"),
-        epochs=_require_int(train_raw, "epochs", "train"),
-        peak_lr=jsonio.require_float(train_raw, "peak_lr", "train"),
-        warmup_steps=_require_int(train_raw, "warmup_steps", "train"),
-        weight_decay=jsonio.require_float(train_raw, "weight_decay", "train"),
-        betas=read_betas(train_raw, "train"),
-        adam_eps=jsonio.require_float(train_raw, "adam_eps", "train"),
-        gamma_init=jsonio.require_float(train_raw, "gamma_init", "train"),
-        seed=_require_int(train_raw, "seed", "train"),
-    )
+    global_raw = train_raw["global_agg"]
+    model = {
+        "region_input_dim": corpus.region_dim,
+        "sentence_input_dim": corpus.sentence_dim,
+        "hidden_dim": _require_int(model_raw, "hidden_dim", "model", minimum=1),
+        "embed_dim": _require_int(model_raw, "embed_dim", "model", minimum=1),
+        **global_param_flags(None if global_raw is None else global_raw["kind"]),
+    }
+    train = train_config_from_dict(dict(train_raw, model=model), "train")
 
     eval_raw = merged["eval"]
     retrieval_cases = eval_raw["retrieval_cases"]

@@ -4,7 +4,7 @@ optimizer, the checkpoints and the gradient checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,21 +31,14 @@ class ModelConfig:
                 raise ContractError(f"{name} must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "region_input_dim": self.region_input_dim,
-            "sentence_input_dim": self.sentence_input_dim,
-            "hidden_dim": self.hidden_dim,
-            "embed_dim": self.embed_dim,
-            "use_nl": self.use_nl,
-            "use_att": self.use_att,
-        }
+        return asdict(self)
 
 
 def model_config_from_dict(d: dict, path: str = "model") -> ModelConfig:
-    for key in ("region_input_dim", "sentence_input_dim", "hidden_dim",
-                "embed_dim"):
-        jsonio.require_int(d, key, path)
-    return ModelConfig(**d)
+    """Inverse of ModelConfig.to_dict: every field is required and read as
+    its annotated type; a missing, wrongly typed or unknown field raises
+    ContractError naming its dotted path under `path`."""
+    return jsonio.read_dataclass(ModelConfig, d, path)
 
 
 @dataclass(eq=False)
@@ -82,6 +75,13 @@ def encode_bag(params: EncoderParams, observations) -> Var:
         )
     hidden = ad.tanh(ad.add(ad.matmul(obs, ad.transpose(w1)), params.b1))
     return ad.add(ad.matmul(hidden, ad.transpose(as_var(params.W2))), params.b2)
+
+
+def global_param_flags(global_kind: str | None) -> dict:
+    """The ModelConfig flags that give a global aggregator of `global_kind`
+    (None: no global route) its parameters: NL its similarity map, Att its
+    projection and scoring vector."""
+    return {"use_nl": global_kind == "NL", "use_att": global_kind == "Att"}
 
 
 def param_template(config: ModelConfig) -> tuple:

@@ -42,7 +42,8 @@ from .aggregators import (
     LocalAggregatorSpec,
     aggregate_local_axis,
 )
-from .encoders import ModelParams, encode_bag, unflatten_params
+from .encoders import (ModelParams, encode_bag, global_param_flags,
+                       unflatten_params)
 from .numeric import cosine_matrix, normalize_rows, population_stats
 from .trainer import NonFiniteLossError, TrainConfig, train
 
@@ -604,9 +605,8 @@ class AblationRow:
 
 
 def _row_config(base: TrainConfig, entry: GridEntry, seed: int) -> TrainConfig:
-    needs_nl = entry.global_agg is not None and entry.global_agg.kind == "NL"
-    needs_att = entry.global_agg is not None and entry.global_agg.kind == "Att"
-    model = dataclasses.replace(base.model, use_nl=needs_nl, use_att=needs_att)
+    kind = None if entry.global_agg is None else entry.global_agg.kind
+    model = dataclasses.replace(base.model, **global_param_flags(kind))
     return dataclasses.replace(base, model=model, local_agg=entry.local_agg,
                                global_agg=entry.global_agg, seed=seed)
 

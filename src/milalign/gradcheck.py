@@ -30,7 +30,7 @@ from .aggregators import (
     bind_global_spec,
 )
 from .encoders import EncoderParams, ModelConfig, encode_bag, flatten_params, \
-    init_model, unflatten_params
+    global_param_flags, init_model, unflatten_params
 from .evaluation import GridEntry, default_grid
 from .objective import Temperature, infonce_score_table
 from .scoring import pairwise_score_tables
@@ -216,8 +216,7 @@ def _batch_loss_case(entry):
     """The training loss of one grid row on a tiny batch, as a function of
     the flat parameter vector."""
     global_kind = None if entry.global_agg is None else entry.global_agg.kind
-    model = dataclasses.replace(_TINY_MODEL, use_nl=global_kind == "NL",
-                                use_att=global_kind == "Att")
+    model = dataclasses.replace(_TINY_MODEL, **global_param_flags(global_kind))
     config = TrainConfig(model=model, local_agg=entry.local_agg,
                          global_agg=entry.global_agg, batch_size=_TINY_BATCH,
                          sentences_per_bag=_TINY_SENTENCES)

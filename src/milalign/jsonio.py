@@ -14,6 +14,7 @@ scalars go through the general recursive encoder.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -125,6 +126,39 @@ def require_float(obj, key: str, path: str = "") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ContractError(f"{_dotted(path, key)} must be a number")
     return float(value)
+
+
+def require_bool(obj, key: str, path: str = "") -> bool:
+    """obj[key] if it is a JSON boolean, else a ContractError naming the
+    dotted path."""
+    value = require(obj, key, path)
+    if not isinstance(value, bool):
+        raise ContractError(f"{_dotted(path, key)} must be true or false")
+    return value
+
+
+_FIELD_READERS = {"int": require_int, "float": require_float,
+                  "bool": require_bool}
+
+
+def read_dataclass(cls, obj, path: str = "", **given):
+    """An instance of dataclass `cls` read from the JSON object `obj`.
+
+    Fields named in `given` take those values; every other field must be
+    an int, float or bool field and is read by its annotation through
+    require_int, require_float or require_bool. A key of `obj` that is not
+    a field of `cls` is refused, naming its dotted path.
+    """
+    if not isinstance(obj, dict):
+        raise ContractError(f"{path or 'document'} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in obj:
+        if key not in names:
+            raise ContractError(f"unknown field {_dotted(path, key)}")
+    values = {f.name: _FIELD_READERS[f.type](obj, f.name, path)
+              for f in fields if f.name not in given}
+    return cls(**values, **given)
 
 
 def require_array(obj, key: str, path: str = "") -> np.ndarray:

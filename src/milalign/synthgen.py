@@ -14,12 +14,18 @@ dimensions (the default) the marginal observation distribution is still
 exactly prototype + isotropic gaussian, and with a strictly larger
 sentence space the directions outside the rotated region subspace carry
 the independent share of the noise only.
+
+On disk a corpus is one JSON line per document after a header line. The
+header's spec is read by `spec_from_dict`, the same reader the config's
+`corpus` section goes through, and every id in a document must be a
+JSON integer; anything else is refused naming the line and the field.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,28 +82,14 @@ class CorpusSpec:
             raise ContractError("corpus.train_fraction must lie in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "concepts": self.concepts,
-            "region_dim": self.region_dim,
-            "sentence_dim": self.sentence_dim,
-            "regions_per_image": self.regions_per_image,
-            "sentences_per_doc": self.sentences_per_doc,
-            "documents": self.documents,
-            "noise_sigma": self.noise_sigma,
-            "concepts_min": self.concepts_min,
-            "concepts_max": self.concepts_max,
-            "box_min": self.box_min,
-            "box_max": self.box_max,
-            "noise_coupling": self.noise_coupling,
-            "train_fraction": self.train_fraction,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def spec_from_dict(d: dict, path: str = "spec") -> CorpusSpec:
-    for f in fields(CorpusSpec):
-        jsonio.require(d, f.name, path)
-    return CorpusSpec(**d)
+    """Inverse of CorpusSpec.to_dict: every field is required and read as
+    the type of its default; a missing, wrongly typed or unknown field
+    raises ContractError naming its dotted path under `path`."""
+    return jsonio.read_dataclass(CorpusSpec, d, path)
 
 
 @dataclass(eq=False)
@@ -244,14 +236,14 @@ def _doc_to_dict(doc: SyntheticDocument) -> dict:
 
 
 def _doc_from_dict(d: dict) -> SyntheticDocument:
+    """A parsed document line; _list_problem checks its ids."""
     return SyntheticDocument(
-        image_id=int(d["image_id"]),
+        image_id=jsonio.require_int(d, "image_id"),
         region_observations=np.asarray(d["regions"], dtype=np.float64),
-        region_concepts=[None if c is None else int(c)
-                         for c in d["region_concepts"]],
+        region_concepts=list(d["region_concepts"]),
         sentence_observations=np.asarray(d["sentences"], dtype=np.float64),
-        sentence_concepts=[int(c) for c in d["sentence_concepts"]],
-        boxes=[tuple(int(i) for i in b) for b in d["boxes"]],
+        sentence_concepts=list(d["sentence_concepts"]),
+        boxes=[tuple(b) for b in d["boxes"]],
     )
 
 
@@ -263,30 +255,41 @@ def _fits_spec(doc: SyntheticDocument, spec: CorpusSpec) -> bool:
             and 1 <= sentences[0] <= spec.sentences_per_doc)
 
 
+def _bad_id(value, limit: int) -> str:
+    if type(value) is int:
+        return f"id {value} outside [0, {limit})"
+    return f"id {json.dumps(value)} that is not an integer"
+
+
 def _list_problem(doc: SyntheticDocument, spec: CorpusSpec) -> str | None:
     """What is wrong with the lists that describe a document's bags, or
-    None. The bags themselves must already fit the spec."""
+    None. The bags themselves must already fit the spec; every id must be
+    a JSON integer, so a boolean or a float is refused, not converted."""
     sentences = doc.sentence_observations.shape[0]
     regions = spec.regions_per_image
     if len(doc.sentence_concepts) != sentences:
         return (f"sentence_concepts has {len(doc.sentence_concepts)} entries "
                 f"for {sentences} sentences")
-    bad = [c for c in doc.sentence_concepts if not 0 <= c < spec.concepts]
+    bad = [c for c in doc.sentence_concepts
+           if type(c) is not int or not 0 <= c < spec.concepts]
     if bad:
-        return f"sentence_concepts has id {bad[0]} outside [0, {spec.concepts})"
+        return f"sentence_concepts has {_bad_id(bad[0], spec.concepts)}"
     if len(doc.region_concepts) != regions:
         return (f"region_concepts has {len(doc.region_concepts)} entries for "
                 f"{regions} regions")
-    bad = [c for c in doc.region_concepts
-           if c is not None and not 0 <= c < spec.concepts]
+    bad = [c for c in doc.region_concepts if c is not None
+           and (type(c) is not int or not 0 <= c < spec.concepts)]
     if bad:
-        return (f"region_concepts has id {bad[0]} outside "
-                f"[0, {spec.concepts}) and not null")
+        return (f"region_concepts has {_bad_id(bad[0], spec.concepts)} "
+                f"and not null")
     if len(doc.boxes) != sentences:
         return f"boxes has {len(doc.boxes)} boxes for {sentences} sentences"
     for j, box in enumerate(doc.boxes):
         if not box:
             return f"boxes[{j}] is empty"
+        if any(type(i) is not int for i in box):
+            return (f"boxes[{j}] {json.dumps(list(box))} has an index that "
+                    f"is not an integer")
         if len(set(box)) != len(box):
             return f"boxes[{j}] {list(box)} has duplicate region indices"
         if min(box) < 0 or max(box) >= regions:
@@ -335,18 +338,14 @@ def read_corpus(path) -> Corpus:
     try:
         spec = spec_from_dict(jsonio.require(header, "spec"))
         raw_bank = jsonio.require(header, "concept_bank")
-
-        def bank_field(key):
-            return jsonio.require(raw_bank, key, "concept_bank")
-
         bank = ConceptBank(
-            region_prototypes=np.asarray(bank_field("region_prototypes"),
-                                         dtype=np.float64),
-            sentence_prototypes=np.asarray(bank_field("sentence_prototypes"),
-                                           dtype=np.float64),
-            modality_rotation=np.asarray(bank_field("modality_rotation"),
-                                         dtype=np.float64),
-            seed=int(bank_field("seed")),
+            region_prototypes=jsonio.require_array(
+                raw_bank, "region_prototypes", "concept_bank"),
+            sentence_prototypes=jsonio.require_array(
+                raw_bank, "sentence_prototypes", "concept_bank"),
+            modality_rotation=jsonio.require_array(
+                raw_bank, "modality_rotation", "concept_bank"),
+            seed=jsonio.require_int(raw_bank, "seed", "concept_bank"),
         )
     except ContractError as exc:
         raise ContractError(f"{path}: line 1: {exc}") from exc

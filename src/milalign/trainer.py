@@ -35,6 +35,7 @@ from .encoders import (
     decay_mask,
     encode_bag,
     flatten_params,
+    global_param_flags,
     init_model,
     model_config_from_dict,
     param_count,
@@ -72,12 +73,12 @@ class TrainConfig:
         if self.local_agg is None and self.global_agg is None:
             raise ContractError("at least one of train.local_agg / "
                                 "train.global_agg must be set")
-        needs_nl = self.global_agg is not None and self.global_agg.kind == "NL"
-        needs_att = self.global_agg is not None and self.global_agg.kind == "Att"
-        if self.model.use_nl != needs_nl:
+        needs = global_param_flags(
+            None if self.global_agg is None else self.global_agg.kind)
+        if self.model.use_nl != needs["use_nl"]:
             raise ContractError("model.use_nl must be set exactly when the "
                                 "global aggregator is NL")
-        if self.model.use_att != needs_att:
+        if self.model.use_att != needs["use_att"]:
             raise ContractError("model.use_att must be set exactly when the "
                                 "global aggregator is Att")
         if self.batch_size < 2:
@@ -128,15 +129,10 @@ def read_betas(d: dict, path: str) -> tuple:
 
 
 def train_config_from_dict(d: dict, path: str = "config") -> TrainConfig:
-    """Inverse of TrainConfig.to_dict; a missing or wrongly typed field
-    raises ContractError naming its dotted path under `path`."""
-    def integer(key):
-        return jsonio.require_int(d, key, path)
-
-    def number(key):
-        return jsonio.require_float(d, key, path)
-
-    return TrainConfig(
+    """Inverse of TrainConfig.to_dict; a missing, wrongly typed or unknown
+    field raises ContractError naming its dotted path under `path`."""
+    return jsonio.read_dataclass(
+        TrainConfig, d, path,
         model=model_config_from_dict(jsonio.require(d, "model", path),
                                      f"{path}.model"),
         local_agg=local_spec_from_dict(d.get("local_agg"), f"{path}.local_agg"),
@@ -144,16 +140,7 @@ def train_config_from_dict(d: dict, path: str = "config") -> TrainConfig:
                                          f"{path}.global_agg"),
         sentence_agg=sentence_spec_from_dict(d.get("sentence_agg"),
                                              f"{path}.sentence_agg"),
-        batch_size=integer("batch_size"),
-        sentences_per_bag=integer("sentences_per_bag"),
-        epochs=integer("epochs"),
-        peak_lr=number("peak_lr"),
-        warmup_steps=integer("warmup_steps"),
-        weight_decay=number("weight_decay"),
         betas=read_betas(d, path),
-        adam_eps=number("adam_eps"),
-        gamma_init=number("gamma_init"),
-        seed=integer("seed"),
     )
 
 

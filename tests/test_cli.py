@@ -413,6 +413,9 @@ CHECKPOINT_BAD_VALUES = (
                                      "integer"),
     ("config.local_agg.gamma", "x", "config.local_agg.gamma must be a number"),
     ("config.global_agg.gamma", [], "config.global_agg.gamma must be a number"),
+    ("config.model.use_nl", "x", "config.model.use_nl must be true or false"),
+    ("config.model.extra", 1, "unknown field config.model.extra"),
+    ("config.extra", 1, "unknown field config.extra"),
     ("params", "x", "params must be numeric"),
     ("optimizer.first_moment", ["x"], "optimizer.first_moment must be numeric"),
 )
@@ -471,4 +474,44 @@ def test_corpus_header_missing_field_exits_one(pipeline, tmp_path, capsys,
     assert rc == 1
     err = capsys.readouterr().err
     assert f"missing field {dotted}" in err
+    assert "line 1" in err
+
+
+def _type_error(field):
+    kind = "an integer" if field.type == "int" else "a number"
+    return f"spec.{field.name} must be {kind}"
+
+
+CORPUS_HEADER_BAD_VALUES = tuple(
+    (f"spec.{field.name}", "x", _type_error(field))
+    for field in dataclasses.fields(CorpusSpec)) + (
+    ("spec.regions_per_image", 8.0,
+     "spec.regions_per_image must be an integer"),
+    ("spec.extra", 1, "unknown field spec.extra"),
+    ("concept_bank.seed", "x", "concept_bank.seed must be an integer"),
+    ("concept_bank.region_prototypes", "x",
+     "concept_bank.region_prototypes must be numeric"),
+)
+
+
+@pytest.mark.parametrize(
+    "dotted,value,message", CORPUS_HEADER_BAD_VALUES,
+    ids=[f"{dotted}={json.dumps(value)}"
+         for dotted, value, _ in CORPUS_HEADER_BAD_VALUES])
+def test_corpus_header_field_of_wrong_type_exits_one(pipeline, tmp_path,
+                                                     capsys, dotted, value,
+                                                     message):
+    def put(node, key):
+        node[key] = value
+
+    header, *documents = pipeline.corpus_path.read_text().splitlines()
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_text("\n".join(
+        [json.dumps(_edited(json.loads(header), dotted, put))] + documents)
+        + "\n")
+    rc = cli.main(["train", "--config", str(pipeline.config_path),
+                   "--corpus", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err
     assert "line 1" in err

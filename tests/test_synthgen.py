@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from milalign import jsonio
 from milalign.autodiff import ContractError
 from milalign.synthgen import (
     Corpus,
@@ -52,6 +53,21 @@ def test_spec_validation_messages():
 def test_spec_roundtrip():
     spec = tiny_spec(noise_sigma=0.2, seed=9)
     assert spec_from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(),
+    tiny_spec(noise_sigma=0.0, noise_coupling=1.0, seed=9),
+], ids=["default", "non-default"])
+def test_spec_from_dict_reads_the_header_text_field_by_field(spec):
+    # canonical JSON writes 0.0 and 1.0 as 0 and 1; they read back as floats
+    raw = json.loads(jsonio.dumps_canonical(spec.to_dict()))
+    back = spec_from_dict(raw)
+    assert back == spec
+    for field in dataclasses.fields(CorpusSpec):
+        assert type(getattr(back, field.name)) is type(field.default)
+    with pytest.raises(ContractError, match="unknown field spec.extra"):
+        spec_from_dict(dict(raw, extra=1))
 
 
 def test_generation_is_deterministic():
@@ -323,10 +339,17 @@ def _set_first_box_index(doc, value):
      "has duplicate region indices"),
     (_put("boxes", 0, list(range(10))),
      "boxes[0] has 10 of the 10 regions: a box must be a proper subset"),
+    (lambda d: _set_first_box_index(d, 4.9),
+     "has an index that is not an integer"),
+    (_put("sentence_concepts", 1, True),
+     "sentence_concepts has id true that is not an integer"),
+    (_put("region_concepts", 0, 1.0),
+     "region_concepts has id 1.0 that is not an integer and not null"),
 ], ids=["box index out of range", "extra sentence concept",
         "sentence concept out of range", "missing region concept",
         "region concept out of range", "missing box", "empty box",
-        "duplicate box index", "box of every region"])
+        "duplicate box index", "box of every region", "float box index",
+        "boolean sentence concept", "float region concept"])
 def test_read_corpus_refuses_lists_that_do_not_describe_the_bags(
         tmp_path, edit, found):
     corpus = generate_corpus(tiny_spec(documents=6))
@@ -345,6 +368,21 @@ def test_read_corpus_refuses_lists_that_do_not_describe_the_bags(
     message = str(err.value)
     assert f"line {lineno}: image_id {doc['image_id']}: " in message
     assert found in message
+
+
+def test_read_corpus_refuses_a_float_image_id(tmp_path):
+    corpus = generate_corpus(tiny_spec(documents=3))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[2])
+    doc["image_id"] = 1.5
+    lines[2] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError,
+                       match="line 3: malformed document: image_id must be "
+                             "an integer"):
+        read_corpus(path)
 
 
 def test_header_only_corpus_reads_empty(tmp_path):
