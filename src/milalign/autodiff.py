@@ -145,14 +145,6 @@ def exp(x):
     return _unary(x, np.exp, lambda g, v, out: g * out)
 
 
-def log(x):
-    return _unary(x, np.log, lambda g, v, out: g / v)
-
-
-def sqrt(x):
-    return _unary(x, np.sqrt, lambda g, v, out: g / (2.0 * out))
-
-
 def _logistic(t: float) -> float:
     try:
         return 1.0 / (1.0 + math.exp(-t))
@@ -209,7 +201,7 @@ def matmul(a, b) -> Var:
     return Var(out, (av, bv), vjp)
 
 
-def _expand_reduced(g, shape, axis, keepdims) -> np.ndarray:
+def _expand_reduced(g, shape, axis, keepdims=False) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if axis is None:
         return np.broadcast_to(g, shape)
@@ -218,38 +210,38 @@ def _expand_reduced(g, shape, axis, keepdims) -> np.ndarray:
     return np.broadcast_to(g, shape)
 
 
-def vsum(x, axis=None, keepdims=False) -> Var:
+def vsum(x, axis=None) -> Var:
     xv = as_var(x)
     val = xv.value
-    out = np.sum(val, axis=axis, keepdims=keepdims)
+    out = np.sum(val, axis=axis)
 
     def vjp(g):
-        return (_expand_reduced(g, val.shape, axis, keepdims),)
+        return (_expand_reduced(g, val.shape, axis),)
 
     return Var(out, (xv,), vjp)
 
 
-def vmean(x, axis=None, keepdims=False) -> Var:
+def vmean(x, axis=None) -> Var:
     xv = as_var(x)
     val = xv.value
     if val.size == 0:
         raise ContractError("mean of an empty array")
-    out = np.mean(val, axis=axis, keepdims=keepdims)
+    out = np.mean(val, axis=axis)
     n = val.size if axis is None else val.shape[axis]
 
     def vjp(g):
-        return (_expand_reduced(g, val.shape, axis, keepdims) / n,)
+        return (_expand_reduced(g, val.shape, axis) / n,)
 
     return Var(out, (xv,), vjp)
 
 
-def vmax(x, axis=None, keepdims=False) -> Var:
+def vmax(x, axis=None) -> Var:
     """Maximum with subgradient routed to the first maximal index."""
     xv = as_var(x)
     val = xv.value
     if val.size == 0:
         raise ContractError("max of an empty array")
-    out = np.max(val, axis=axis, keepdims=keepdims)
+    out = np.max(val, axis=axis)
 
     def vjp(g):
         z = np.zeros_like(val)
@@ -257,9 +249,7 @@ def vmax(x, axis=None, keepdims=False) -> Var:
             z.flat[int(np.argmax(val))] = float(np.asarray(g))
         else:
             idx = np.expand_dims(np.argmax(val, axis=axis), axis)
-            gg = np.asarray(g, dtype=np.float64)
-            if not keepdims:
-                gg = np.expand_dims(gg, axis)
+            gg = np.expand_dims(np.asarray(g, dtype=np.float64), axis)
             np.put_along_axis(z, idx, gg, axis)
         return (z,)
 
@@ -283,12 +273,12 @@ def vprod(x, axis: int) -> Var:
         rq = np.cumprod(v[..., ::-1], axis=-1)[..., ::-1]
         suffix = np.concatenate([rq[..., 1:], ones], axis=-1)
         others = np.moveaxis(prefix * suffix, -1, axis)
-        return (others * _expand_reduced(g, val.shape, axis, False),)
+        return (others * _expand_reduced(g, val.shape, axis),)
 
     return Var(out, (xv,), vjp)
 
 
-def logsumexp(x, scale: float = 1.0, axis=None, keepdims=False) -> Var:
+def logsumexp(x, scale: float = 1.0, axis=None) -> Var:
     """(1/scale) * log(sum(exp(scale * x))) with the max shifted out first."""
     gamma = float(scale)
     if not gamma > 0.0:
@@ -300,17 +290,11 @@ def logsumexp(x, scale: float = 1.0, axis=None, keepdims=False) -> Var:
     m = np.max(val, axis=axis, keepdims=True)
     e = np.exp(gamma * (val - m))
     s = np.sum(e, axis=axis, keepdims=True)
-    outk = m + np.log(s) / gamma
-    if keepdims:
-        out = outk
-    elif axis is None:
-        out = np.squeeze(outk)
-    else:
-        out = np.squeeze(outk, axis=axis)
+    out = np.squeeze(m + np.log(s) / gamma, axis=axis)
     w = e / s
 
     def vjp(g):
-        return (w * _expand_reduced(g, val.shape, axis, keepdims),)
+        return (w * _expand_reduced(g, val.shape, axis),)
 
     return Var(out, (xv,), vjp)
 

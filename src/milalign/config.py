@@ -159,7 +159,8 @@ def experiment_from_dict(data: dict) -> ExperimentConfig:
         zero_shot_documents=_require_int(eval_raw, "zero_shot_documents",
                                          "eval", minimum=1),
         retrieval_cases=retrieval_cases,
-        export_score_maps=bool(eval_raw["export_score_maps"]),
+        export_score_maps=jsonio.require_bool(eval_raw, "export_score_maps",
+                                              "eval"),
     )
 
     abl_raw = merged["ablation"]

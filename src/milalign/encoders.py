@@ -1,5 +1,10 @@
-"""Two small tanh encoders and the flat parameter layout shared by the
-optimizer, the checkpoints and the gradient checks."""
+"""Two small tanh encoders and the flat parameter vector that is the
+model's only parameter store.
+
+`param_template` lays the vector out; `init_model` draws it, the
+optimizer, the checkpoints and the gradient checks work on it as it is,
+and `unflatten_params` cuts it into named fields where a forward pass
+needs them."""
 
 from __future__ import annotations
 
@@ -131,79 +136,30 @@ def _glorot(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return rng.uniform(-r, r, size=shape)
 
 
-def init_model(config: ModelConfig, gamma_init: float, seed: int) -> ModelParams:
-    """Deterministic initialization; draws happen in template order."""
+def init_model(config: ModelConfig, gamma_init: float,
+               seed: int | np.random.SeedSequence) -> np.ndarray:
+    """Deterministic initial parameter vector, drawn field by field in
+    template order: Glorot-uniform weights, zero biases, the NL sim_map
+    as identity plus 0.01 * N(0, 1), and log(gamma_init) as log_gamma."""
     if not gamma_init > 0.0:
         raise ContractError("gamma_init must be positive")
     rng = np.random.default_rng(seed)
-    h, d = config.hidden_dim, config.embed_dim
-
-    def encoder(input_dim: int) -> EncoderParams:
-        return EncoderParams(
-            W1=_glorot(rng, (h, input_dim)),
-            b1=np.zeros(h),
-            W2=_glorot(rng, (d, h)),
-            b2=np.zeros(d),
-        )
-
-    region = encoder(config.region_input_dim)
-    sentence = encoder(config.sentence_input_dim)
-    sim_map = None
-    if config.use_nl:
-        sim_map = np.eye(d) + 0.01 * rng.standard_normal((d, d))
-    att_proj = att_vec = None
-    if config.use_att:
-        att_proj = _glorot(rng, (d, d))
-        att_vec = _glorot(rng, (d,))
-    return ModelParams(
-        region_encoder=region,
-        sentence_encoder=sentence,
-        log_gamma=np.asarray(math.log(gamma_init)),
-        sim_map=sim_map,
-        att_proj=att_proj,
-        att_vec=att_vec,
-    )
-
-
-def _fields(params: ModelParams) -> dict:
-    fields = {
-        "region.W1": params.region_encoder.W1,
-        "region.b1": params.region_encoder.b1,
-        "region.W2": params.region_encoder.W2,
-        "region.b2": params.region_encoder.b2,
-        "sentence.W1": params.sentence_encoder.W1,
-        "sentence.b1": params.sentence_encoder.b1,
-        "sentence.W2": params.sentence_encoder.W2,
-        "sentence.b2": params.sentence_encoder.b2,
-        "log_gamma": params.log_gamma,
-    }
-    if params.sim_map is not None:
-        fields["sim_map"] = params.sim_map
-    if params.att_proj is not None:
-        fields["att_proj"] = params.att_proj
-        fields["att_vec"] = params.att_vec
-    return fields
-
-
-def flatten_params(config: ModelConfig, params: ModelParams) -> np.ndarray:
-    """Concatenate every trainable scalar once, in template order (C order
-    within each field). Bitwise inverse of unflatten_params."""
-    fields = _fields(params)
     parts = []
-    for name, shape, _ in param_template(config):
-        if name not in fields:
-            raise ContractError(f"model is missing parameter field {name!r}")
-        arr = np.asarray(fields[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise ContractError(
-                f"parameter {name!r} has shape {arr.shape}, expected {shape}"
-            )
-        parts.append(arr.ravel())
+    for name, shape, decay in param_template(config):
+        if name == "log_gamma":
+            value = np.array([math.log(gamma_init)])
+        elif name == "sim_map":
+            value = np.eye(shape[0]) + 0.01 * rng.standard_normal(shape)
+        elif decay:  # every other decayed field is a weight
+            value = _glorot(rng, shape)
+        else:
+            value = np.zeros(shape)
+        parts.append(value.ravel())
     return np.concatenate(parts)
 
 
 def unflatten_params(config: ModelConfig, flat) -> ModelParams:
-    """Rebuild structured parameters from a flat vector.
+    """The named fields of a flat parameter vector, cut in template order.
 
     Accepts a plain ndarray or a Var; with a Var the fields are views in
     the same tape, so a loss built from them differentiates with respect

@@ -29,7 +29,7 @@ from .aggregators import (
     aggregate_sentences_axis,
     bind_global_spec,
 )
-from .encoders import EncoderParams, ModelConfig, encode_bag, flatten_params, \
+from .encoders import EncoderParams, ModelConfig, encode_bag, \
     global_param_flags, init_model, unflatten_params
 from .evaluation import GridEntry, default_grid
 from .objective import Temperature, infonce_score_table
@@ -222,9 +222,8 @@ def _batch_loss_case(entry):
                          sentences_per_bag=_TINY_SENTENCES)
 
     def case(rng):
-        params = init_model(model, gamma_init=float(rng.uniform(1.0, 5.0)),
-                            seed=int(rng.integers(0, 2 ** 31)))
-        flat = flatten_params(model, params)
+        flat = init_model(model, gamma_init=float(rng.uniform(1.0, 5.0)),
+                          seed=int(rng.integers(0, 2 ** 31)))
         point = flat + rng.normal(0.0, 0.05, flat.shape)
         moved = unflatten_params(model, point)
 

@@ -35,18 +35,6 @@ def _as_bag(x, name: str) -> Var:
     return v
 
 
-def score_matrix(regions, sentences) -> Var:
-    """(N, M) cosine table between region and sentence features."""
-    r = _as_bag(regions, "regions")
-    s = _as_bag(sentences, "sentences")
-    if r.value.shape[1] != s.value.shape[1]:
-        raise ContractError(
-            f"feature dimension mismatch: regions have {r.value.shape[1]}, "
-            f"sentences have {s.value.shape[1]}"
-        )
-    return ad.clamp(ad.matmul(unit_rows(r), ad.transpose(unit_rows(s))), -1.0, 1.0)
-
-
 def _attention_pool(spec: GlobalAggregatorSpec, regions: Var, bi: int,
                     n_regions: int) -> Var:
     """Attention-MIL pooling (Ilse et al., 2018) of every image at once:
@@ -102,6 +90,11 @@ def pairwise_score_tables(regions_all, n_regions: int, sentences_all,
     """
     r = _as_bag(regions_all, "regions_all")
     s = _as_bag(sentences_all, "sentences_all")
+    if r.value.shape[1] != s.value.shape[1]:
+        raise ContractError(
+            f"feature dimension mismatch: regions have {r.value.shape[1]}, "
+            f"sentences have {s.value.shape[1]}"
+        )
     if r.value.shape[0] % n_regions:
         raise ContractError("regions_all rows must be a multiple of n_regions")
     if s.value.shape[0] % m_sentences:

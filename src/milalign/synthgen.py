@@ -124,14 +124,6 @@ class Corpus:
     documents: list = field(default_factory=list)
 
 
-def _orthonormal_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    raw = rng.standard_normal((dim, count))
-    q, r = np.linalg.qr(raw)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return (q * signs).T
-
-
 def _rotation(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     # orthonormal columns (rows >= cols is enforced by CorpusSpec)
     raw = rng.standard_normal((rows, cols))
@@ -144,7 +136,7 @@ def _rotation(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def generate_corpus(spec: CorpusSpec) -> Corpus:
     """Deterministically generate the bank and all documents from spec.seed."""
     rng = np.random.default_rng(spec.seed)
-    protos = _orthonormal_rows(rng, spec.concepts, spec.region_dim)
+    protos = _rotation(rng, spec.region_dim, spec.concepts).T  # orthonormal rows
     rotation = _rotation(rng, spec.sentence_dim, spec.region_dim)
     bank = ConceptBank(
         region_prototypes=protos,
@@ -338,15 +330,18 @@ def read_corpus(path) -> Corpus:
     try:
         spec = spec_from_dict(jsonio.require(header, "spec"))
         raw_bank = jsonio.require(header, "concept_bank")
-        bank = ConceptBank(
-            region_prototypes=jsonio.require_array(
-                raw_bank, "region_prototypes", "concept_bank"),
-            sentence_prototypes=jsonio.require_array(
-                raw_bank, "sentence_prototypes", "concept_bank"),
-            modality_rotation=jsonio.require_array(
-                raw_bank, "modality_rotation", "concept_bank"),
-            seed=jsonio.require_int(raw_bank, "seed", "concept_bank"),
-        )
+        arrays = {}
+        for name, shape in (
+                ("region_prototypes", (spec.concepts, spec.region_dim)),
+                ("sentence_prototypes", (spec.concepts, spec.sentence_dim)),
+                ("modality_rotation", (spec.sentence_dim, spec.region_dim))):
+            arrays[name] = jsonio.require_array(raw_bank, name, "concept_bank")
+            if arrays[name].shape != shape:
+                raise ContractError(
+                    f"concept_bank.{name} has shape {arrays[name].shape}, "
+                    f"expected {shape} from the header spec")
+        bank = ConceptBank(**arrays, seed=jsonio.require_int(
+            raw_bank, "seed", "concept_bank"))
     except ContractError as exc:
         raise ContractError(f"{path}: line 1: {exc}") from exc
     documents = []

@@ -34,7 +34,6 @@ from .encoders import (
     ModelConfig,
     decay_mask,
     encode_bag,
-    flatten_params,
     global_param_flags,
     init_model,
     model_config_from_dict,
@@ -308,8 +307,7 @@ def train(corpus_train, config: TrainConfig, resume: Checkpoint | None = None,
     if resume is None:
         root = np.random.SeedSequence(config.seed)
         init_seq, sample_seq = root.spawn(2)
-        params0 = init_model(config.model, config.gamma_init, init_seq)
-        flat = flatten_params(config.model, params0)
+        flat = init_model(config.model, config.gamma_init, init_seq)
         state = init_optimizer_state(flat.shape[0])
         rng = np.random.default_rng(sample_seq)
         step = 0
@@ -353,6 +351,13 @@ def train(corpus_train, config: TrainConfig, resume: Checkpoint | None = None,
                        total_steps=total_steps, log_rows=rows)
 
 
+def _param_order(model: ModelConfig) -> list:
+    """The checkpoint's record of the parameter layout, one entry per
+    template field."""
+    return [{"name": name, "shape": list(shape), "decay": decay}
+            for name, shape, decay in param_template(model)]
+
+
 def save_checkpoint(path, config: TrainConfig, params_flat, state: OptimizerState,
                     rng_state: dict, step: int,
                     config_fingerprint: str = "") -> None:
@@ -366,10 +371,7 @@ def save_checkpoint(path, config: TrainConfig, params_flat, state: OptimizerStat
         "format_version": CHECKPOINT_VERSION,
         "config_fingerprint": config_fingerprint,
         "config": config.to_dict(),
-        "param_order": [
-            {"name": name, "shape": list(shape), "decay": decay}
-            for name, shape, decay in param_template(config.model)
-        ],
+        "param_order": _param_order(config.model),
         "params": params,
         "optimizer": {
             "step": state.step,
@@ -416,11 +418,7 @@ def _checkpoint_from_payload(payload) -> Checkpoint:
         raise ContractError(f"rng is not a valid sampler state "
                             f"({type(exc).__name__}: {exc})") from exc
     config = train_config_from_dict(jsonio.require(payload, "config"))
-    expected_order = [
-        {"name": name, "shape": list(shape), "decay": decay}
-        for name, shape, decay in param_template(config.model)
-    ]
-    if payload.get("param_order") != expected_order:
+    if payload.get("param_order") != _param_order(config.model):
         raise ContractError("parameter layout does not match the configured "
                             "model")
     params = jsonio.require_array(payload, "params")

@@ -45,8 +45,6 @@ def test_unary_math_values_and_grads():
         for fn, ref, dref in [
             (ad.tanh, np.tanh, lambda u: 1 - np.tanh(u) ** 2),
             (ad.exp, np.exp, np.exp),
-            (ad.log, np.log, lambda u: 1 / u),
-            (ad.sqrt, np.sqrt, lambda u: 0.5 / np.sqrt(u)),
         ]:
             x = Var(np.asarray(v))
             y = fn(x)

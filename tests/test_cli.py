@@ -491,6 +491,14 @@ CORPUS_HEADER_BAD_VALUES = tuple(
     ("concept_bank.seed", "x", "concept_bank.seed must be an integer"),
     ("concept_bank.region_prototypes", "x",
      "concept_bank.region_prototypes must be numeric"),
+    ("concept_bank.region_prototypes", [[1.0] * 6] * 3,
+     "concept_bank.region_prototypes has shape (3, 6), expected (4, 6)"),
+    ("concept_bank.sentence_prototypes", [[1.0]],
+     "concept_bank.sentence_prototypes has shape (1, 1), expected (4, 6)"),
+    ("concept_bank.sentence_prototypes", 3.0,
+     "concept_bank.sentence_prototypes has shape (), expected (4, 6)"),
+    ("concept_bank.modality_rotation", [[1.0] * 6] * 4,
+     "concept_bank.modality_rotation has shape (4, 6), expected (6, 6)"),
 )
 
 

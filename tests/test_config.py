@@ -154,6 +154,10 @@ def test_eval_options():
         experiment_from_dict({"eval": {"retrieval_cases": 1}})
     cfg = experiment_from_dict({"eval": {"export_score_maps": True}})
     assert cfg.eval_options.export_score_maps is True
+    for value in ("no", 0, 1, None):
+        with pytest.raises(ContractError,
+                           match="eval.export_score_maps must be true or false"):
+            experiment_from_dict({"eval": {"export_score_maps": value}})
 
 
 def test_document_must_be_object():

@@ -1,6 +1,7 @@
-"""Encoder stack: parameter layout, deterministic initialization, and the
-flatten/unflatten bijection the optimizer relies on."""
+"""Encoder stack: parameter layout, the deterministic initial parameter
+vector, and unflatten_params cutting that vector into named fields."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from milalign.encoders import (
     ModelConfig,
     decay_mask,
     encode_bag,
-    flatten_params,
     init_model,
     model_config_from_dict,
     param_count,
@@ -71,22 +71,35 @@ def test_decay_mask_skips_biases_and_temperature():
 def test_init_is_deterministic_and_bounded():
     config = small_config(use_att=True)
     a = init_model(config, 14.0, seed=3)
-    b = init_model(config, 14.0, seed=3)
-    assert np.array_equal(flatten_params(config, a), flatten_params(config, b))
-    c = init_model(config, 14.0, seed=4)
-    assert not np.array_equal(flatten_params(config, a),
-                              flatten_params(config, c))
+    assert a.dtype == np.float64 and a.shape == (param_count(config),)
+    assert np.array_equal(a, init_model(config, 14.0, seed=3))
+    assert not np.array_equal(a, init_model(config, 14.0, seed=4))
     # uniform glorot bound for a (4, 4) block is sqrt(6 / 8)
-    att = np.asarray(init_model(small_config(embed_dim=4, use_att=True),
-                                14.0, seed=0).att_proj)
+    wide = small_config(embed_dim=4, use_att=True)
+    att = unflatten_params(wide, init_model(wide, 14.0, seed=0)).att_proj
     assert np.max(np.abs(att)) <= 0.8660254037844386
+
+
+# sha256 prefixes of the initial vectors of the three layouts at seed 3;
+# they pin the draw order, so a reordered draw changes every trajectory
+INIT_DIGESTS = {(False, False): "f438baf54a7eaf8c",
+                (True, False): "1cde91a4cf1395f0",
+                (False, True): "425612de719a8e75"}
+
+
+@pytest.mark.parametrize("use_nl,use_att", sorted(INIT_DIGESTS))
+def test_init_vector_is_pinned(use_nl, use_att):
+    config = small_config(use_nl=use_nl, use_att=use_att)
+    flat = init_model(config, 14.0, seed=3)
+    digest = hashlib.sha256(flat.tobytes()).hexdigest()[:16]
+    assert digest == INIT_DIGESTS[use_nl, use_att]
 
 
 def test_init_biases_zero_temperature_logged():
     config = small_config()
-    params = init_model(config, 14.0, seed=0)
-    assert np.all(np.asarray(params.region_encoder.b1) == 0.0)
-    assert np.all(np.asarray(params.sentence_encoder.b2) == 0.0)
+    params = unflatten_params(config, init_model(config, 14.0, seed=0))
+    assert np.all(params.region_encoder.b1 == 0.0)
+    assert np.all(params.sentence_encoder.b2 == 0.0)
     assert abs(float(params.log_gamma) - math.log(14.0)) < 1e-15
     with pytest.raises(ContractError):
         init_model(config, 0.0, seed=0)
@@ -94,20 +107,27 @@ def test_init_biases_zero_temperature_logged():
 
 def test_init_sim_map_near_identity():
     config = small_config(use_nl=True)
-    params = init_model(config, 14.0, seed=0)
-    sim = np.asarray(params.sim_map)
+    sim = unflatten_params(config, init_model(config, 14.0, seed=0)).sim_map
     assert sim.shape == (3, 3)
     assert np.max(np.abs(sim - np.eye(3))) < 0.1
 
 
-def test_flatten_unflatten_is_a_bijection():
-    rng = np.random.default_rng(5)
+def test_unflatten_cuts_the_vector_in_template_order():
     for use_nl, use_att in [(False, False), (True, False), (False, True)]:
         config = small_config(use_nl=use_nl, use_att=use_att)
-        flat = rng.standard_normal(param_count(config))
+        flat = np.arange(param_count(config), dtype=np.float64)
         params = unflatten_params(config, flat)
-        back = flatten_params(config, params)
-        assert np.array_equal(back, flat)
+        owners = {"region": params.region_encoder,
+                  "sentence": params.sentence_encoder, "": params}
+        offset = 0
+        for name, shape, _ in param_template(config):
+            owner, _, field = name.rpartition(".")
+            value = getattr(owners[owner], field)
+            size = int(np.prod(shape, dtype=np.int64))
+            assert value.shape == shape, name
+            assert np.array_equal(value.ravel(), flat[offset:offset + size]), name
+            offset += size
+        assert offset == flat.shape[0]
 
 
 def test_unflatten_accepts_var_and_keeps_gradient_flow():
@@ -136,7 +156,7 @@ def test_unflatten_length_check():
 
 def test_encode_bag_is_rowwise():
     config = small_config()
-    params = init_model(config, 14.0, seed=1)
+    params = unflatten_params(config, init_model(config, 14.0, seed=1))
     rng = np.random.default_rng(2)
     obs = rng.standard_normal((4, 5))
     full = encode_bag(params.region_encoder, obs).value
@@ -153,7 +173,7 @@ def test_encode_bag_is_rowwise():
 
 def test_encode_bag_matches_formula():
     config = small_config()
-    params = init_model(config, 14.0, seed=8)
+    params = unflatten_params(config, init_model(config, 14.0, seed=8))
     obs = np.random.default_rng(9).standard_normal((2, 5))
     got = encode_bag(params.region_encoder, obs).value
     w1 = np.asarray(params.region_encoder.W1)
@@ -166,7 +186,7 @@ def test_encode_bag_matches_formula():
 
 def test_encode_bag_validates_input():
     config = small_config()
-    params = init_model(config, 14.0, seed=0)
+    params = unflatten_params(config, init_model(config, 14.0, seed=0))
     with pytest.raises(ContractError):
         encode_bag(params.region_encoder, np.ones((2, 7)))
     with pytest.raises(ContractError):

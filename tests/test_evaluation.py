@@ -75,7 +75,7 @@ def tiny_params(seed=0, use_nl=False, use_att=False):
     config = ModelConfig(region_input_dim=6, sentence_input_dim=6,
                          hidden_dim=8, embed_dim=5, use_nl=use_nl,
                          use_att=use_att)
-    return config, init_model(config, 14.0, seed)
+    return config, unflatten_params(config, init_model(config, 14.0, seed))
 
 
 # ---------------------------------------------------------------------------

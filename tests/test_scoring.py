@@ -17,7 +17,7 @@ from milalign.aggregators import (
     SentenceAggregatorSpec,
     bind_global_spec,
 )
-from milalign.scoring import pairwise_score_tables, score_matrix
+from milalign.scoring import pairwise_score_tables
 
 AVG = SentenceAggregatorSpec(kind="Avg")
 
@@ -31,11 +31,15 @@ def pair_score(regions, sentences, local_agg=None, global_agg=None,
     return float((table_l if table_g is None else table_g).value[0, 0])
 
 
-def test_score_matrix_is_pairwise_cosine():
+def test_single_row_bags_give_the_cosine_table():
+    # one region per image and one sentence per document: Max over the
+    # region and Avg over the sentence keep the lone cosine
     rng = np.random.default_rng(0)
     regions = rng.standard_normal((4, 5))
     sentences = rng.standard_normal((3, 5))
-    sm = score_matrix(regions, sentences).value
+    table, _ = pairwise_score_tables(regions, 1, sentences, 1,
+                                     LocalAggregatorSpec(kind="Max"), None, AVG)
+    sm = table.value
     assert sm.shape == (4, 3)
     for n in range(4):
         for m in range(3):
@@ -43,11 +47,14 @@ def test_score_matrix_is_pairwise_cosine():
     assert sm.min() >= -1.0 and sm.max() <= 1.0
 
 
-def test_score_matrix_dimension_mismatch():
+def test_pairwise_tables_dimension_mismatch():
+    local_agg = LocalAggregatorSpec(kind="Max")
+    with pytest.raises(ContractError, match="feature dimension mismatch"):
+        pairwise_score_tables(np.ones((2, 3)), 1, np.ones((2, 4)), 1,
+                              local_agg, None, AVG)
     with pytest.raises(ContractError):
-        score_matrix(np.ones((2, 3)), np.ones((2, 4)))
-    with pytest.raises(ContractError):
-        score_matrix(np.ones((0, 3)), np.ones((2, 3)))
+        pairwise_score_tables(np.ones((0, 3)), 1, np.ones((2, 3)), 1,
+                              local_agg, None, AVG)
 
 
 def test_local_route_matches_naive():
@@ -119,7 +126,7 @@ def test_per_sentence_helpers_agree_with_full_score():
                          **routes)
         assert abs(mean - sum(per) / 2) < 1e-14
         assert abs(top - max(per)) < 1e-14
-    sm = score_matrix(regions, sentences).value
+    sm = np.array([[oracles.cos(r, s) for s in sentences] for r in regions])
     per = [pair_score(regions, sentences[j:j + 1], sentence_agg=identity,
                       local_agg=LocalAggregatorSpec(kind="Max"))
            for j in range(2)]

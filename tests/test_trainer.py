@@ -16,7 +16,6 @@ from milalign.aggregators import (
 )
 from milalign.encoders import (
     ModelConfig,
-    flatten_params,
     init_model,
     param_count,
     unflatten_params,
@@ -247,8 +246,7 @@ def test_batch_loss_matches_per_pair_assembly():
                                       use_nl=kind == "NL", use_att=kind == "Att"),
             local_agg=entry.local_agg, global_agg=entry.global_agg)
         batch = sample_batch(corpus, config, rng)
-        flat = flatten_params(config.model,
-                              init_model(config.model, config.gamma_init, 0))
+        flat = init_model(config.model, config.gamma_init, 0)
         got = batch_loss(config, flat, batch).value
 
         params = unflatten_params(config.model, flat)
@@ -277,8 +275,7 @@ def test_batch_loss_needs_two_documents():
     corpus = tiny_corpus()
     config = tiny_config()
     batch = sample_batch(corpus, config, np.random.default_rng(0))
-    flat = flatten_params(config.model,
-                          init_model(config.model, config.gamma_init, 0))
+    flat = init_model(config.model, config.gamma_init, 0)
     with pytest.raises(ContractError, match="at least two"):
         batch_loss(config, flat, batch[:1])
 
@@ -300,8 +297,7 @@ def test_tape_size_does_not_depend_on_batch_size():
                 local_agg=entry.local_agg, global_agg=entry.global_agg,
                 batch_size=size)
             batch = sample_batch(corpus, config, np.random.default_rng(size))
-            flat = flatten_params(config.model,
-                                  init_model(config.model, config.gamma_init, 0))
+            flat = init_model(config.model, config.gamma_init, 0)
             counts.append(len(_toposort(batch_loss(config, flat, batch))))
         assert counts[0] == counts[1], (entry.name, counts)
 
@@ -357,10 +353,8 @@ def test_zero_epochs_returns_initial_parameters():
     result = train(corpus, config)
     assert result.step == 0
     assert result.log_rows == []
-    want = flatten_params(
-        config.model,
-        init_model(config.model, config.gamma_init,
-                   np.random.SeedSequence(config.seed).spawn(2)[0]))
+    want = init_model(config.model, config.gamma_init,
+                      np.random.SeedSequence(config.seed).spawn(2)[0])
     assert np.array_equal(result.params_flat, want)
 
 
