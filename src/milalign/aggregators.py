@@ -30,6 +30,10 @@ SENTENCE_KINDS = ("Avg", "Sum", "Max", "LSE", "Id")
 # clamp-level rounding from upstream cosines.
 _SCORE_SLACK = 1e-9
 
+# NAND's fixed sigmoid slope and offset on the mean region probability.
+NAND_SLOPE = 10.0
+NAND_OFFSET = 0.5
+
 
 @dataclass(frozen=True)
 class LocalAggregatorSpec:
@@ -37,8 +41,6 @@ class LocalAggregatorSpec:
 
     kind: str
     gamma: float | None = None
-    nand_slope: float = 10.0
-    nand_offset: float = 0.5
 
     def __post_init__(self):
         if self.kind not in LOCAL_KINDS:
@@ -46,11 +48,6 @@ class LocalAggregatorSpec:
         if self.kind == "LSE":
             if self.gamma is None or not np.isfinite(self.gamma) or self.gamma <= 0.0:
                 raise ContractError("local LSE requires a positive finite gamma")
-        if self.kind == "NAND":
-            if not self.nand_slope > 0.0:
-                raise ContractError("NAND slope must be positive")
-            if not 0.0 <= self.nand_offset <= 1.0:
-                raise ContractError("NAND offset must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,49 +92,31 @@ def spec_to_dict(spec) -> dict | None:
     if spec is None:
         return None
     d = {"kind": spec.kind}
-    if getattr(spec, "gamma", None) is not None:
+    if spec.gamma is not None:
         d["gamma"] = float(spec.gamma)
-    if isinstance(spec, LocalAggregatorSpec) and spec.kind == "NAND":
-        d["nand_slope"] = float(spec.nand_slope)
-        d["nand_offset"] = float(spec.nand_offset)
     return d
 
 
-def _optional_float(d: dict, key: str, path: str, default=None):
-    if d.get(key) is None:
-        return default
-    return jsonio.require_float(d, key, path)
+def spec_from_dict(cls, d, path: str):
+    """Inverse of spec_to_dict for any of the three spec classes.
 
-
-def local_spec_from_dict(d: dict | None,
-                         path: str = "local_agg") -> LocalAggregatorSpec | None:
-    if d is None:
-        return None
-    return LocalAggregatorSpec(
-        kind=jsonio.require(d, "kind", path),
-        gamma=_optional_float(d, "gamma", path),
-        nand_slope=_optional_float(d, "nand_slope", path, 10.0),
-        nand_offset=_optional_float(d, "nand_offset", path, 0.5),
-    )
-
-
-def global_spec_from_dict(d: dict | None,
-                          path: str = "global_agg") -> GlobalAggregatorSpec | None:
-    if d is None:
+    The object holds `kind` and an optional `gamma` (null reads as None);
+    any other key is refused, and the spec's own validation errors are
+    prefixed with `path`. A null local or global route reads as None; a
+    null sentence aggregator is refused, since every document score needs
+    one.
+    """
+    if d is None and cls is not SentenceAggregatorSpec:
         return None
     kind = jsonio.require(d, "kind", path)
-    if kind == "NL":
-        return GlobalAggregatorSpec(kind=kind,
-                                    gamma=jsonio.require_float(d, "gamma", path))
-    return GlobalAggregatorSpec(kind=kind, gamma=_optional_float(d, "gamma", path))
-
-
-def sentence_spec_from_dict(d: dict | None,
-                            path: str = "sentence_agg") -> SentenceAggregatorSpec:
-    if d is None:
-        return SentenceAggregatorSpec(kind="Avg")
-    return SentenceAggregatorSpec(kind=jsonio.require(d, "kind", path),
-                                  gamma=_optional_float(d, "gamma", path))
+    for key in d:
+        if key not in ("kind", "gamma"):
+            raise ContractError(f"unknown field {path}.{key}")
+    gamma = jsonio.optional(jsonio.require_float)(d, "gamma", path)
+    try:
+        return cls(kind=kind, gamma=gamma)
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
 
 
 def bind_global_spec(spec: GlobalAggregatorSpec, sim_map=None, att_proj=None,
@@ -164,7 +143,7 @@ def _local_core(spec: LocalAggregatorSpec, scores: Var, axis: int) -> Var:
         survive = ad.vprod(ad.sub(1.0, p), axis=axis)
         return ad.sub(1.0, ad.mul(survive, 2.0))
     if spec.kind == "NAND":
-        a, b = spec.nand_slope, spec.nand_offset
+        a, b = NAND_SLOPE, NAND_OFFSET
         p = ad.mul(ad.add(scores, 1.0), 0.5)
         pbar = ad.vmean(p, axis=axis)
         lo = float(ad.expit(-a * b))

@@ -58,9 +58,23 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _check_schedule(train: trainer.TrainConfig, train_docs,
+                    epochs_key: str) -> None:
+    """Refuse, before any work, a schedule whose steps cannot leave the
+    warmup; training would otherwise stop inside its first step."""
+    batches = len(train_docs) // train.batch_size
+    steps = train.epochs * batches
+    if 0 < steps <= train.warmup_steps:
+        raise ContractError(
+            f"{epochs_key}={train.epochs} at {batches} batches per epoch "
+            f"gives {steps} training steps, which must exceed "
+            f"train.warmup_steps={train.warmup_steps}")
+
+
 def cmd_train(args) -> int:
     config = parse_config(args.config)
     _, train_docs, _ = _load_split(config, args.corpus)
+    _check_schedule(config.train, train_docs, "train.epochs")
     resume = trainer.load_checkpoint(args.resume) if args.resume else None
     result = trainer.train(train_docs, config.train, resume=resume)
     _ensure_dir(args.out)
@@ -114,14 +128,7 @@ def cmd_eval(args) -> int:
         rows.append(("zero_shot", "document_count", float(len(singles))))
 
     if "probe" in tasks:
-        probe_train = evaluation.single_concept_documents(train_docs)
-        probe_test = evaluation.single_concept_documents(test_docs)
-        probe = evaluation.linear_probe(
-            evaluation.pooled_image_features(params, probe_train),
-            [evaluation.document_label(d) for d in probe_train],
-            evaluation.pooled_image_features(params, probe_test),
-            [evaluation.document_label(d) for d in probe_test],
-        )
+        probe = evaluation.probe_eval(params, train_docs, test_docs)
         rows.append(("linear_probe", "accuracy", probe.accuracy))
         rows.append(("linear_probe", "macro_auc", probe.auc))
 
@@ -222,14 +229,7 @@ def cmd_ablate(args) -> int:
     if config.ablation.epochs is not None:
         base = dataclasses.replace(base, epochs=config.ablation.epochs)
         epochs_key = "ablation.epochs"
-    # every row trains for the same number of steps; a schedule that
-    # cannot leave warmup would fail each row, so refuse before the first
-    batches = len(train_docs) // base.batch_size
-    if 0 < base.epochs * batches <= base.warmup_steps:
-        raise ContractError(
-            f"{epochs_key}={base.epochs} at {batches} batches per epoch gives "
-            f"{base.epochs * batches} steps a row, which must exceed "
-            f"train.warmup_steps={base.warmup_steps}")
+    _check_schedule(base, train_docs, epochs_key)
     grid = evaluation.default_grid()
     _ensure_dir(args.out)
     for seed in seeds:

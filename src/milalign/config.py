@@ -9,9 +9,11 @@ merges field by field on top of the defaults.
 
 Each schema has one reader, shared with the files that embed it: the
 `corpus` section goes through `synthgen.spec_from_dict` (which also reads
-corpus headers) and the `train` section, with the model dimensions taken
+corpus headers), the `train` section, with the model dimensions taken
 from the corpus, through `trainer.train_config_from_dict` (which also
-reads checkpoints).
+reads checkpoints) and its aggregator objects through
+`aggregators.spec_from_dict`. The `eval` and `ablation` sections are
+read by `jsonio.read_dataclass` like every other dataclass.
 """
 
 from __future__ import annotations
@@ -20,24 +22,19 @@ import math
 import os
 from dataclasses import dataclass
 
-from . import jsonio
+from . import jsonio, synthgen
+from .aggregators import GlobalAggregatorSpec, spec_from_dict
 from .autodiff import ContractError
-from .encoders import global_param_flags
-from .synthgen import CorpusSpec, spec_from_dict
+from .encoders import global_param_flags, model_config_from_dict
 from .trainer import TrainConfig, train_config_from_dict
 
 _AGG_PATHS = ("train.local_agg", "train.global_agg", "train.sentence_agg")
-_AGG_KEYS = {
-    "train.local_agg": {"kind", "gamma", "nand_slope", "nand_offset"},
-    "train.global_agg": {"kind", "gamma"},
-    "train.sentence_agg": {"kind", "gamma"},
-}
 
 
 def default_config() -> dict:
     """The fully specified desk-scale experiment."""
     return {
-        "corpus": CorpusSpec().to_dict(),
+        "corpus": synthgen.CorpusSpec().to_dict(),
         "model": {"hidden_dim": 32, "embed_dim": 16},
         "train": {
             "local_agg": {"kind": "LSE", "gamma": 0.1},
@@ -64,9 +61,11 @@ def default_config() -> dict:
 
 
 def _merge(defaults, override, path=""):
-    if not isinstance(override, dict) or not isinstance(defaults, dict) \
-            or path in _AGG_PATHS:
+    if not isinstance(defaults, dict) or path in _AGG_PATHS:
         return override
+    if not isinstance(override, dict):
+        raise ContractError(f"{path or 'config document'} must be a JSON "
+                            "object")
     merged = dict(defaults)
     for key, value in override.items():
         dotted = f"{path}.{key}" if path else key
@@ -77,50 +76,47 @@ def _merge(defaults, override, path=""):
 
 
 def merge_config(data: dict) -> dict:
-    if not isinstance(data, dict):
-        raise ContractError("config document must be a JSON object")
-    merged = _merge(default_config(), data)
-    for path in _AGG_PATHS:
-        section, key = path.split(".")
-        _check_agg(merged[section][key], path)
-    return merged
+    return _merge(default_config(), data)
 
 
-def _check_agg(value, path: str) -> None:
-    if value is None:
-        return
-    if not isinstance(value, dict):
-        raise ContractError(f"{path} must be an object or null")
-    if "kind" not in value:
-        raise ContractError(f"{path}.kind is required")
-    for key in value:
-        if key not in _AGG_KEYS[path]:
-            raise ContractError(f"unknown config key: {path}.{key}")
-
-
-def _require_int(section: dict, name: str, path: str, minimum=None) -> int:
-    value = jsonio.require_int(section, name, path)
-    if minimum is not None and value < minimum:
-        raise ContractError(f"{path}.{name} must be >= {minimum}")
-    return value
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class EvalOptions:
     zero_shot_documents: int = 200
     retrieval_cases: int | None = 200
     export_score_maps: bool = False
 
+    def __post_init__(self):
+        if self.zero_shot_documents < 1:
+            raise ContractError("eval.zero_shot_documents must be >= 1")
+        if self.retrieval_cases is not None and self.retrieval_cases < 2:
+            raise ContractError("eval.retrieval_cases must be >= 2")
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True)
 class AblationOptions:
     seeds: tuple = (0, 1, 2)
     epochs: int | None = None
 
+    def __post_init__(self):
+        if self.epochs is not None and self.epochs < 1:
+            raise ContractError("ablation.epochs must be >= 1")
+
+
+def _read_seeds(d: dict, path: str) -> tuple:
+    """The ablation seeds at `path`.seeds, or a ContractError naming that
+    path."""
+    seeds = jsonio.require(d, "seeds", path)
+    if not isinstance(seeds, list) or not seeds \
+            or not all(isinstance(s, int) and not isinstance(s, bool)
+                       for s in seeds):
+        raise ContractError(f"{path}.seeds must be a non-empty list of "
+                            "integers")
+    return tuple(seeds)
+
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    corpus: CorpusSpec
+    corpus: synthgen.CorpusSpec
     train: TrainConfig
     eval_options: EvalOptions
     ablation: AblationOptions
@@ -136,47 +132,25 @@ class ExperimentConfig:
 
 def experiment_from_dict(data: dict) -> ExperimentConfig:
     merged = merge_config(data)
-
-    corpus = spec_from_dict(merged["corpus"], "corpus")
-    model_raw = merged["model"]
+    corpus = synthgen.spec_from_dict(merged["corpus"], "corpus")
     train_raw = merged["train"]
-    global_raw = train_raw["global_agg"]
-    model = {
-        "region_input_dim": corpus.region_dim,
-        "sentence_input_dim": corpus.sentence_dim,
-        "hidden_dim": _require_int(model_raw, "hidden_dim", "model", minimum=1),
-        "embed_dim": _require_int(model_raw, "embed_dim", "model", minimum=1),
-        **global_param_flags(None if global_raw is None else global_raw["kind"]),
-    }
-    train = train_config_from_dict(dict(train_raw, model=model), "train")
-
-    eval_raw = merged["eval"]
-    retrieval_cases = eval_raw["retrieval_cases"]
-    if retrieval_cases is not None:
-        retrieval_cases = _require_int(eval_raw, "retrieval_cases", "eval",
-                                       minimum=2)
-    options = EvalOptions(
-        zero_shot_documents=_require_int(eval_raw, "zero_shot_documents",
-                                         "eval", minimum=1),
-        retrieval_cases=retrieval_cases,
-        export_score_maps=jsonio.require_bool(eval_raw, "export_score_maps",
-                                              "eval"),
-    )
-
-    abl_raw = merged["ablation"]
-    seeds = abl_raw["seeds"]
-    if not isinstance(seeds, list) or not seeds \
-            or not all(isinstance(s, int) and not isinstance(s, bool)
-                       for s in seeds):
-        raise ContractError("ablation.seeds must be a non-empty list of "
-                            "integers")
-    epochs = abl_raw["epochs"]
-    if epochs is not None:
-        epochs = _require_int(abl_raw, "epochs", "ablation", minimum=1)
-    ablation = AblationOptions(seeds=tuple(seeds), epochs=epochs)
-
-    return ExperimentConfig(corpus=corpus, train=train, eval_options=options,
-                            ablation=ablation, merged=merged)
+    # the global route decides which pooler parameters the model carries
+    global_agg = spec_from_dict(GlobalAggregatorSpec, train_raw["global_agg"],
+                                "train.global_agg")
+    model = model_config_from_dict(
+        dict(merged["model"], region_input_dim=corpus.region_dim,
+             sentence_input_dim=corpus.sentence_dim,
+             **global_param_flags(None if global_agg is None
+                                  else global_agg.kind)), "model")
+    train = train_config_from_dict(dict(train_raw, model=model.to_dict()),
+                                   "train")
+    return ExperimentConfig(
+        corpus=corpus, train=train,
+        eval_options=jsonio.read_dataclass(EvalOptions, merged["eval"], "eval"),
+        ablation=jsonio.read_dataclass(
+            AblationOptions, merged["ablation"], "ablation",
+            seeds=_read_seeds(merged["ablation"], "ablation")),
+        merged=merged)
 
 
 def parse_config(path) -> ExperimentConfig:

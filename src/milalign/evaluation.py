@@ -269,6 +269,22 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
                        weights=weights, bias=bias)
 
 
+def probe_eval(params: ModelParams, train_docs, test_docs) -> ProbeResult:
+    """Linear probe on the pooled image features of each split's
+    single-concept documents, labelled by their concept."""
+    probe_train = single_concept_documents(train_docs)
+    probe_test = single_concept_documents(test_docs)
+    if not probe_train or not probe_test:
+        raise ContractError("the linear probe needs single-concept documents "
+                            "in both splits")
+    return linear_probe(
+        pooled_image_features(params, probe_train),
+        [document_label(d) for d in probe_train],
+        pooled_image_features(params, probe_test),
+        [document_label(d) for d in probe_test],
+    )
+
+
 # ---------------------------------------------------------------------------
 # visual grounding
 
@@ -613,17 +629,7 @@ def _row_config(base: TrainConfig, entry: GridEntry, seed: int) -> TrainConfig:
 
 def _row_metrics(params: ModelParams, train_docs, test_docs,
                  retrieval_limit: int | None = None) -> dict:
-    probe_train = single_concept_documents(train_docs)
-    probe_test = single_concept_documents(test_docs)
-    if not probe_train or not probe_test:
-        raise ContractError("ablation probe needs single-concept documents "
-                            "in both splits")
-    probe = linear_probe(
-        pooled_image_features(params, probe_train),
-        [document_label(d) for d in probe_train],
-        pooled_image_features(params, probe_test),
-        [document_label(d) for d in probe_test],
-    )
+    probe = probe_eval(params, train_docs, test_docs)
     grounding = evaluate_grounding(params, grounding_cases(test_docs))
     retrieval = retrieval_eval(params,
                                retrieval_cases(test_docs, retrieval_limit))

@@ -137,17 +137,25 @@ def require_bool(obj, key: str, path: str = "") -> bool:
     return value
 
 
+def optional(reader):
+    """`reader`, except that a null or absent field reads as None."""
+    def read(obj: dict, key: str, path: str = ""):
+        return None if obj.get(key) is None else reader(obj, key, path)
+    return read
+
+
 _FIELD_READERS = {"int": require_int, "float": require_float,
-                  "bool": require_bool}
+                  "bool": require_bool, "int | None": optional(require_int)}
 
 
 def read_dataclass(cls, obj, path: str = "", **given):
     """An instance of dataclass `cls` read from the JSON object `obj`.
 
-    Fields named in `given` take those values; every other field must be
-    an int, float or bool field and is read by its annotation through
-    require_int, require_float or require_bool. A key of `obj` that is not
-    a field of `cls` is refused, naming its dotted path.
+    Fields named in `given` take those values; every other field is read
+    by its annotation through `_FIELD_READERS`: require_int, require_float,
+    require_bool, or require_int with null or absent read as None. A key
+    of `obj` that is not a field of `cls` is refused, naming its dotted
+    path.
     """
     if not isinstance(obj, dict):
         raise ContractError(f"{path or 'document'} must be a JSON object")

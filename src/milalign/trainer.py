@@ -25,9 +25,7 @@ from .aggregators import (
     LocalAggregatorSpec,
     SentenceAggregatorSpec,
     bind_global_spec,
-    global_spec_from_dict,
-    local_spec_from_dict,
-    sentence_spec_from_dict,
+    spec_from_dict,
     spec_to_dict,
 )
 from .encoders import (
@@ -130,15 +128,17 @@ def read_betas(d: dict, path: str) -> tuple:
 def train_config_from_dict(d: dict, path: str = "config") -> TrainConfig:
     """Inverse of TrainConfig.to_dict; a missing, wrongly typed or unknown
     field raises ContractError naming its dotted path under `path`."""
+    def spec(cls, key):
+        return spec_from_dict(cls, jsonio.require(d, key, path),
+                              f"{path}.{key}")
+
     return jsonio.read_dataclass(
         TrainConfig, d, path,
         model=model_config_from_dict(jsonio.require(d, "model", path),
                                      f"{path}.model"),
-        local_agg=local_spec_from_dict(d.get("local_agg"), f"{path}.local_agg"),
-        global_agg=global_spec_from_dict(d.get("global_agg"),
-                                         f"{path}.global_agg"),
-        sentence_agg=sentence_spec_from_dict(d.get("sentence_agg"),
-                                             f"{path}.sentence_agg"),
+        local_agg=spec(LocalAggregatorSpec, "local_agg"),
+        global_agg=spec(GlobalAggregatorSpec, "global_agg"),
+        sentence_agg=spec(SentenceAggregatorSpec, "sentence_agg"),
         betas=read_betas(d, path),
     )
 

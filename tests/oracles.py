@@ -56,7 +56,7 @@ def local(spec, scores):
             survive *= 1.0 - (x + 1.0) / 2.0
         return 1.0 - 2.0 * survive
     if spec.kind == "NAND":
-        a, b = spec.nand_slope, spec.nand_offset
+        a, b = 10.0, 0.5  # NAND's fixed slope and offset
         pbar = sum((x + 1.0) / 2.0 for x in s) / len(s)
         lo, hi = _sigmoid(-a * b), _sigmoid(a * (1.0 - b))
         return 2.0 * (_sigmoid(a * (pbar - b)) - lo) / (hi - lo) - 1.0

@@ -5,6 +5,7 @@ global poolers run inside the score table of one image and one
 document."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,9 +23,7 @@ from milalign.aggregators import (
     aggregate_local_axis,
     aggregate_sentences_axis,
     bind_global_spec,
-    global_spec_from_dict,
-    local_spec_from_dict,
-    sentence_spec_from_dict,
+    spec_from_dict,
     spec_to_dict,
 )
 from milalign.scoring import pairwise_score_tables
@@ -68,8 +67,6 @@ def test_local_kind_validation():
         LocalAggregatorSpec(kind="LSE")           # gamma missing
     with pytest.raises(ContractError):
         LocalAggregatorSpec(kind="LSE", gamma=0.0)
-    with pytest.raises(ContractError):
-        LocalAggregatorSpec(kind="NAND", nand_slope=-1.0)
     with pytest.raises(ContractError):
         GlobalAggregatorSpec(kind="Pool")
     with pytest.raises(ContractError):
@@ -353,17 +350,41 @@ def test_global_aggregators_permutation_invariant():
 
 def test_spec_dict_roundtrip():
     local = LocalAggregatorSpec(kind="LSE", gamma=0.1)
-    assert local_spec_from_dict(spec_to_dict(local)) == local
-    nand = LocalAggregatorSpec(kind="NAND", nand_slope=5.0, nand_offset=0.25)
-    assert local_spec_from_dict(spec_to_dict(nand)) == nand
+    assert spec_from_dict(LocalAggregatorSpec, spec_to_dict(local), "l") == local
+    nand = LocalAggregatorSpec(kind="NAND")
+    assert spec_to_dict(nand) == {"kind": "NAND"}
+    assert spec_from_dict(LocalAggregatorSpec, spec_to_dict(nand), "l") == nand
     glob = GlobalAggregatorSpec(kind="NL", gamma=math.e)
-    back = global_spec_from_dict(spec_to_dict(glob))
+    back = spec_from_dict(GlobalAggregatorSpec, spec_to_dict(glob), "g")
     assert back.kind == "NL" and back.gamma == math.e
     sent = SentenceAggregatorSpec(kind="LSE", gamma=2.0)
-    assert sentence_spec_from_dict(spec_to_dict(sent)) == sent
+    assert spec_from_dict(SentenceAggregatorSpec, spec_to_dict(sent), "s") == sent
     assert spec_to_dict(None) is None
-    assert local_spec_from_dict(None) is None
-    assert sentence_spec_from_dict(None) == SentenceAggregatorSpec(kind="Avg")
+    assert spec_from_dict(LocalAggregatorSpec, None, "l") is None
+    assert spec_from_dict(GlobalAggregatorSpec, None, "g") is None
+    assert spec_from_dict(LocalAggregatorSpec, {"kind": "Max", "gamma": None},
+                          "l") == LocalAggregatorSpec(kind="Max")
+
+
+@pytest.mark.parametrize("cls,d,message", [
+    (SentenceAggregatorSpec, None, "agg must be a JSON object"),
+    (GlobalAggregatorSpec, "NL", "agg must be a JSON object"),
+    (LocalAggregatorSpec, {"kind": "NAND", "nand_slope": 5.0},
+     "unknown field agg.nand_slope"),
+    (GlobalAggregatorSpec, {"kind": "Att", "sim_map": [[1.0]]},
+     "unknown field agg.sim_map"),
+    (LocalAggregatorSpec, {"gamma": 0.5}, "missing field agg.kind"),
+    (LocalAggregatorSpec, {"kind": "LSE", "gamma": "x"},
+     "agg.gamma must be a number"),
+    (LocalAggregatorSpec, {"kind": "LSE"},
+     "agg: local LSE requires a positive finite gamma"),
+    (GlobalAggregatorSpec, {"kind": "NL"},
+     "agg: global NL requires a finite gamma >= 0"),
+], ids=["null-sentence", "string", "nand-slope", "sim-map", "no-kind",
+        "gamma-type", "lse-gamma", "nl-gamma"])
+def test_spec_from_dict_refuses_naming_the_path(cls, d, message):
+    with pytest.raises(ContractError, match=re.escape(message)):
+        spec_from_dict(cls, d, "agg")
 
 
 def test_kind_tables_are_frozen():

@@ -361,6 +361,23 @@ def test_ablate_refuses_epochs_inside_warmup(pipeline, tmp_path, capsys):
     assert rc == 0
 
 
+def test_train_refuses_epochs_inside_warmup(pipeline, tmp_path, capsys):
+    # 9 batches per epoch for 2 epochs is 18 steps, all inside an 18-step
+    # warmup: refused before the corpus split is trained on
+    config = dict(SMALL, train=dict(SMALL["train"], warmup_steps=18))
+    config_path = tmp_path / "warm.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--config", str(config_path),
+                   "--corpus", str(pipeline.corpus_path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "train.epochs=2 at 9 batches per epoch gives 18 training steps" \
+        in err
+    assert "train.warmup_steps=18" in err
+    assert not out.exists()
+
+
 def _edited(payload, dotted, edit):
     out = copy.deepcopy(payload)
     *parents, last = dotted.split(".")
@@ -378,7 +395,8 @@ def _without(payload, dotted):
 CHECKPOINT_FIELDS = (
     "config", "config.model", "config.model.region_input_dim",
     "config.model.sentence_input_dim", "config.model.hidden_dim",
-    "config.model.embed_dim", "config.local_agg.kind", "config.global_agg.kind",
+    "config.model.embed_dim", "config.local_agg", "config.global_agg",
+    "config.sentence_agg", "config.local_agg.kind", "config.global_agg.kind",
     "config.sentence_agg.kind", "config.batch_size", "config.sentences_per_bag",
     "config.epochs", "config.peak_lr", "config.warmup_steps",
     "config.weight_decay", "config.betas", "config.adam_eps",
@@ -413,6 +431,9 @@ CHECKPOINT_BAD_VALUES = (
                                      "integer"),
     ("config.local_agg.gamma", "x", "config.local_agg.gamma must be a number"),
     ("config.global_agg.gamma", [], "config.global_agg.gamma must be a number"),
+    ("config.local_agg.extra", 1, "unknown field config.local_agg.extra"),
+    ("config.global_agg.extra", 1, "unknown field config.global_agg.extra"),
+    ("config.sentence_agg", None, "config.sentence_agg must be a JSON object"),
     ("config.model.use_nl", "x", "config.model.use_nl must be true or false"),
     ("config.model.extra", 1, "unknown field config.model.extra"),
     ("config.extra", 1, "unknown field config.extra"),
@@ -450,7 +471,8 @@ def test_train_refuses_nl_without_gamma_before_any_step(pipeline, tmp_path,
     rc = cli.main(["train", "--config", str(config_path),
                    "--corpus", str(pipeline.corpus_path), "--out", str(out)])
     assert rc == 1
-    assert "missing field train.global_agg.gamma" in capsys.readouterr().err
+    assert "train.global_agg: global NL requires a finite gamma" in \
+        capsys.readouterr().err
     assert not (out / "train_log.csv").exists()
     assert not (out / "checkpoint.json").exists()
 

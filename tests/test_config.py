@@ -1,17 +1,24 @@
 """Strict config parsing: defaults, dotted-path rejection of unknown keys,
 wholesale aggregator overrides, and derived model dimensions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from milalign import jsonio
 from milalign.autodiff import ContractError
 from milalign.config import (
+    AblationOptions,
+    EvalOptions,
     default_config,
     experiment_from_dict,
     merge_config,
     parse_config,
 )
+from milalign.encoders import ModelConfig
+from milalign.synthgen import CorpusSpec
+from milalign.trainer import TrainConfig
 
 
 def test_default_fingerprint_is_stable():
@@ -48,8 +55,9 @@ def test_unknown_keys_are_rejected_with_dotted_path():
                        match="unknown config key: corpus.regions"):
         merge_config({"corpus": {"regions": 5}})
     with pytest.raises(ContractError,
-                       match="unknown config key: train.local_agg.bogus"):
-        merge_config({"train": {"local_agg": {"kind": "LSE", "bogus": 1}}})
+                       match="unknown field train.local_agg.bogus"):
+        experiment_from_dict({"train": {"local_agg": {"kind": "LSE",
+                                                      "bogus": 1}}})
 
 
 def test_scalar_overrides_merge_on_top_of_defaults():
@@ -77,9 +85,32 @@ def test_aggregator_null_disables_route():
 
 def test_aggregator_requires_kind():
     with pytest.raises(ContractError, match="train.local_agg.kind"):
-        merge_config({"train": {"local_agg": {"gamma": 0.5}}})
-    with pytest.raises(ContractError, match="must be an object or null"):
-        merge_config({"train": {"global_agg": "NL"}})
+        experiment_from_dict({"train": {"local_agg": {"gamma": 0.5}}})
+    with pytest.raises(ContractError,
+                       match="train.global_agg must be a JSON object"):
+        experiment_from_dict({"train": {"global_agg": "NL"}})
+
+
+def test_sentence_aggregator_cannot_be_null():
+    with pytest.raises(ContractError,
+                       match="train.sentence_agg must be a JSON object"):
+        experiment_from_dict({"train": {"sentence_agg": None}})
+
+
+def test_aggregator_objects_take_only_kind_and_gamma():
+    with pytest.raises(ContractError,
+                       match="unknown field train.local_agg.nand_slope"):
+        experiment_from_dict({"train": {"local_agg": {"kind": "NAND",
+                                                      "nand_slope": 5}}})
+    cfg = experiment_from_dict({"train": {"local_agg": {"kind": "NAND"}}})
+    assert cfg.train.local_agg.kind == "NAND"
+
+
+def test_section_that_is_not_an_object_names_the_section():
+    for section in ("corpus", "model", "train", "eval", "ablation"):
+        with pytest.raises(ContractError,
+                           match=f"^{section} must be a JSON object"):
+            experiment_from_dict({section: 5})
 
 
 def test_global_kind_selects_model_parameters():
@@ -120,7 +151,8 @@ def test_type_errors_name_the_field():
 
 
 def test_global_nl_requires_gamma():
-    with pytest.raises(ContractError, match="missing field train.global_agg.gamma"):
+    with pytest.raises(ContractError, match="train.global_agg: global NL "
+                                            "requires a finite gamma"):
         experiment_from_dict({"train": {"global_agg": {"kind": "NL"}}})
     with pytest.raises(ContractError, match="train.global_agg.gamma must be"):
         experiment_from_dict({"train": {"global_agg": {"kind": "NL",
@@ -201,3 +233,38 @@ def test_train_section_feeds_train_config():
     assert cfg.train.gamma_init == 10.0
     assert cfg.train.betas == (0.8, 0.99)
     assert np.isclose(cfg.train.weight_decay, 0.01)
+
+
+def test_every_dataclass_field_has_a_reader(monkeypatch):
+    # read_dataclass reads a field by its annotation unless the caller
+    # passes it in `given`; a field of any other type would fail at run
+    # time with a KeyError instead of a message naming it
+    seen = {}
+    real = jsonio.read_dataclass
+
+    def spy(cls, obj, path="", **given):
+        seen[cls.__name__] = set(given)
+        return real(cls, obj, path, **given)
+
+    monkeypatch.setattr(jsonio, "read_dataclass", spy)
+    experiment_from_dict({})
+    classes = (CorpusSpec, ModelConfig, TrainConfig, EvalOptions,
+               AblationOptions)
+    assert set(seen) == {cls.__name__ for cls in classes}
+    for cls in classes:
+        for field in dataclasses.fields(cls):
+            assert field.name in seen[cls.__name__] or \
+                field.type in jsonio._FIELD_READERS, \
+                f"{cls.__name__}.{field.name}: {field.type}"
+
+
+def test_optional_int_fields_read_null_and_absent_as_none():
+    assert jsonio.read_dataclass(EvalOptions, {
+        "zero_shot_documents": 5, "retrieval_cases": None,
+        "export_score_maps": False}).retrieval_cases is None
+    assert jsonio.read_dataclass(
+        AblationOptions, {}, "ablation", seeds=(0,)).epochs is None
+    with pytest.raises(ContractError, match="ablation.epochs must be an "
+                                            "integer"):
+        jsonio.read_dataclass(AblationOptions, {"epochs": 1.5}, "ablation",
+                              seeds=(0,))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from milalign.autodiff import ContractError, Var, _toposort
+from milalign.autodiff import ContractError, _toposort
 from milalign.aggregators import (
     GlobalAggregatorSpec,
     LocalAggregatorSpec,
@@ -24,7 +24,6 @@ from milalign.evaluation import GridEntry, default_grid
 from milalign.synthgen import CorpusSpec, SyntheticDocument, generate_corpus
 from milalign.trainer import (
     NonFiniteLossError,
-    OptimizerState,
     TrainConfig,
     adamw_step,
     batch_loss,
