@@ -35,6 +35,24 @@ NAND_SLOPE = 10.0
 NAND_OFFSET = 0.5
 
 
+def _check_kind_and_gamma(spec, route: str, kinds: tuple, gamma_kind: str,
+                          zero_ok: bool = False) -> None:
+    """Refuse a kind outside `kinds`, a gamma on any kind but `gamma_kind`,
+    and a missing, non-finite, negative or (unless `zero_ok`) zero gamma
+    on `gamma_kind`."""
+    if spec.kind not in kinds:
+        raise ContractError(f"unknown {route} aggregator kind: {spec.kind!r}")
+    gamma = spec.gamma
+    if spec.kind != gamma_kind:
+        if gamma is not None:
+            raise ContractError(f"{route} {spec.kind} takes no gamma")
+    elif gamma is None or not np.isfinite(gamma) or gamma < 0.0 \
+            or (gamma == 0.0 and not zero_ok):
+        raise ContractError(f"{route} {gamma_kind} requires a "
+                            + ("finite gamma >= 0" if zero_ok
+                               else "positive finite gamma"))
+
+
 @dataclass(frozen=True)
 class LocalAggregatorSpec:
     """How to reduce one sentence's region scores to a scalar."""
@@ -43,11 +61,7 @@ class LocalAggregatorSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in LOCAL_KINDS:
-            raise ContractError(f"unknown local aggregator kind: {self.kind!r}")
-        if self.kind == "LSE":
-            if self.gamma is None or not np.isfinite(self.gamma) or self.gamma <= 0.0:
-                raise ContractError("local LSE requires a positive finite gamma")
+        _check_kind_and_gamma(self, "local", LOCAL_KINDS, "LSE")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +80,7 @@ class GlobalAggregatorSpec:
     att_vec: object = None
 
     def __post_init__(self):
-        if self.kind not in GLOBAL_KINDS:
-            raise ContractError(f"unknown global aggregator kind: {self.kind!r}")
-        if self.kind == "NL":
-            if self.gamma is None or not np.isfinite(self.gamma) or self.gamma < 0.0:
-                raise ContractError("global NL requires a finite gamma >= 0")
+        _check_kind_and_gamma(self, "global", GLOBAL_KINDS, "NL", zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -81,11 +91,7 @@ class SentenceAggregatorSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in SENTENCE_KINDS:
-            raise ContractError(f"unknown sentence aggregator kind: {self.kind!r}")
-        if self.kind == "LSE":
-            if self.gamma is None or not np.isfinite(self.gamma) or self.gamma <= 0.0:
-                raise ContractError("sentence LSE requires a positive finite gamma")
+        _check_kind_and_gamma(self, "sentence", SENTENCE_KINDS, "LSE")
 
 
 def spec_to_dict(spec) -> dict | None:
@@ -127,62 +133,46 @@ def bind_global_spec(spec: GlobalAggregatorSpec, sim_map=None, att_proj=None,
     )
 
 
-def _local_core(spec: LocalAggregatorSpec, scores: Var, axis: int) -> Var:
-    if spec.kind == "Max":
+def _reduce(kind: str, gamma: float | None, scores: Var, axis: int) -> Var:
+    """`scores` reduced along `axis` by the aggregator `kind`; local and
+    sentence aggregators of the same name are the same reduction, and Id
+    is the sum over a single entry."""
+    if kind == "Max":
         return ad.vmax(scores, axis=axis)
-    if spec.kind == "Sum":
+    if kind in ("Sum", "Id"):
         return ad.vsum(scores, axis=axis)
-    if spec.kind == "Avg":
+    if kind == "Avg":
         return ad.vmean(scores, axis=axis)
-    if spec.kind == "LSE":
-        return ad.logsumexp(scores, spec.gamma, axis=axis)
-    if spec.kind == "NOR":
-        # noisy-or on p = (score+1)/2, mapped back to the score range;
-        # the explicit product keeps a score of +1 absorbing exactly
-        p = ad.mul(ad.add(scores, 1.0), 0.5)
+    if kind == "LSE":
+        return ad.logsumexp(scores, gamma, axis=axis)
+    # NOR and NAND read each score as a probability p = (score+1)/2
+    p = ad.mul(ad.add(scores, 1.0), 0.5)
+    if kind == "NOR":
+        # noisy-or mapped back to the score range; the explicit product
+        # keeps a score of +1 absorbing exactly
         survive = ad.vprod(ad.sub(1.0, p), axis=axis)
         return ad.sub(1.0, ad.mul(survive, 2.0))
-    if spec.kind == "NAND":
-        a, b = NAND_SLOPE, NAND_OFFSET
-        p = ad.mul(ad.add(scores, 1.0), 0.5)
-        pbar = ad.vmean(p, axis=axis)
-        lo = float(ad.expit(-a * b))
-        hi = float(ad.expit(a * (1.0 - b)))
-        q = ad.div(ad.sub(ad.sigmoid(ad.mul(ad.sub(pbar, b), a)), lo), hi - lo)
-        return ad.sub(ad.mul(q, 2.0), 1.0)
-    raise ContractError(f"unknown local aggregator kind: {spec.kind!r}")
+    a, b = NAND_SLOPE, NAND_OFFSET
+    pbar = ad.vmean(p, axis=axis)
+    lo = float(ad.expit(-a * b))
+    hi = float(ad.expit(a * (1.0 - b)))
+    q = ad.div(ad.sub(ad.sigmoid(ad.mul(ad.sub(pbar, b), a)), lo), hi - lo)
+    return ad.sub(ad.mul(q, 2.0), 1.0)
 
 
 def aggregate_local_axis(spec: LocalAggregatorSpec, scores, axis: int) -> Var:
     """Reduce region scores in [-1, 1] along one axis of a score array."""
-    if spec.kind not in LOCAL_KINDS:
-        raise ContractError(f"unknown local aggregator kind: {spec.kind!r}")
     v = as_var(scores)
     if v.value.shape[axis] == 0:
         raise ContractError("local aggregation needs at least one region score")
     if v.value.min() < -1.0 - _SCORE_SLACK or v.value.max() > 1.0 + _SCORE_SLACK:
         raise ContractError("local aggregator scores must lie in [-1, 1]")
-    return _local_core(spec, v, axis)
-
-
-def _sentence_core(spec: SentenceAggregatorSpec, scores: Var, axis: int) -> Var:
-    if spec.kind == "Avg":
-        return ad.vmean(scores, axis=axis)
-    if spec.kind == "Sum":
-        return ad.vsum(scores, axis=axis)
-    if spec.kind == "Max":
-        return ad.vmax(scores, axis=axis)
-    if spec.kind == "LSE":
-        return ad.logsumexp(scores, spec.gamma, axis=axis)
-    if spec.kind == "Id":
-        if scores.value.shape[axis] != 1:
-            raise ContractError("sentence aggregator Id is only valid for "
-                                "single-sentence documents")
-        return ad.vsum(scores, axis=axis)
-    raise ContractError(f"unknown sentence aggregator kind: {spec.kind!r}")
+    return _reduce(spec.kind, spec.gamma, v, axis)
 
 
 def aggregate_sentences_axis(spec: SentenceAggregatorSpec, scores, axis: int) -> Var:
-    if spec.kind not in SENTENCE_KINDS:
-        raise ContractError(f"unknown sentence aggregator kind: {spec.kind!r}")
-    return _sentence_core(spec, as_var(scores), axis)
+    v = as_var(scores)
+    if spec.kind == "Id" and v.value.shape[axis] != 1:
+        raise ContractError("sentence aggregator Id is only valid for "
+                            "single-sentence documents")
+    return _reduce(spec.kind, spec.gamma, v, axis)

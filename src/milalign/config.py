@@ -87,9 +87,9 @@ class EvalOptions:
 
     def __post_init__(self):
         if self.zero_shot_documents < 1:
-            raise ContractError("eval.zero_shot_documents must be >= 1")
+            raise ContractError("zero_shot_documents must be >= 1")
         if self.retrieval_cases is not None and self.retrieval_cases < 2:
-            raise ContractError("eval.retrieval_cases must be >= 2")
+            raise ContractError("retrieval_cases must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class AblationOptions:
 
     def __post_init__(self):
         if self.epochs is not None and self.epochs < 1:
-            raise ContractError("ablation.epochs must be >= 1")
+            raise ContractError("epochs must be >= 1")
 
 
 def _read_seeds(d: dict, path: str) -> tuple:

@@ -33,7 +33,7 @@ class ModelConfig:
         for name in ("region_input_dim", "sentence_input_dim", "hidden_dim",
                      "embed_dim"):
             if getattr(self, name) < 1:
-                raise ContractError(f"model.{name} must be >= 1")
+                raise ContractError(f"{name} must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -14,14 +14,15 @@ combination and compares the routes on a normalized table.
 Each task is a few whole-array expressions over all of its cases. The
 region bags of the distinct documents are stacked and encoded in one
 `encode_bag` call and the sentences or prompts in another, so the number
-of encoder calls does not depend on the number of cases. Scores are
-plain numpy cosines (`numeric.normalize_rows`, `numeric.cosine_matrix`);
-evaluation never goes through the tape's scoring ops. Grounding scores
-every case as one (cases, N) array and reduces it with masked array
-expressions; the one-map functions `cnr`, `miou` and `grounding_hit` are
-one-row calls of the same expressions. Retrieval builds its cosine table
-a block of rows at a time, in each direction, and ranks each block's rows
-against their own entries.
+of encoder calls does not depend on the number of cases. Zero-shot
+scores come from the training score table, `scoring.pairwise_score_tables`,
+with each prompt a one-sentence document; grounding and retrieval take
+their cosines from the values of `scoring.unit_rows`, as the score table
+does. Grounding scores every case as one (cases, N) array and reduces it
+with masked array expressions; the one-map functions `cnr`, `miou` and
+`grounding_hit` are one-row calls of the same expressions. Retrieval
+builds its cosine table a block of rows at a time, in each direction, and
+ranks each block's rows against their own entries.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from .autodiff import ContractError
 from .aggregators import (
     GlobalAggregatorSpec,
     LocalAggregatorSpec,
-    aggregate_local_axis,
+    SentenceAggregatorSpec,
 )
 from .encoders import (ModelParams, encode_bag, global_param_flags,
                        unflatten_params)
-from .numeric import cosine_matrix, normalize_rows, population_stats
+from .scoring import pairwise_score_tables, unit_rows
 from .trainer import NonFiniteLossError, TrainConfig, train
 
 VARIANCE_GUARD = 1e-8
@@ -145,14 +146,16 @@ def prompt_matrix(prompts: dict) -> np.ndarray:
 
 def zero_shot_score_table(params: ModelParams, local_agg: LocalAggregatorSpec,
                           prompts: dict, documents) -> np.ndarray:
-    """(n_images, concepts) image-prompt scores through the local route:
-    the (images, N, concepts) cosine cube reduced over the regions."""
+    """(n_images, concepts) image-prompt scores through the training
+    score table's local route, each prompt a one-sentence document under
+    sentence aggregator Id."""
     prompt_feats = encode_sentences(params, prompt_matrix(prompts))
     regions = encode_regions(params, _document_regions(documents))
-    images, n_regions, dim = regions.shape
-    cube = cosine_matrix(regions.reshape(-1, dim), prompt_feats)
-    return aggregate_local_axis(
-        local_agg, cube.reshape(images, n_regions, -1), axis=1).value
+    _, n_regions, dim = regions.shape
+    table, _ = pairwise_score_tables(
+        regions.reshape(-1, dim), n_regions, prompt_feats, 1, local_agg, None,
+        SentenceAggregatorSpec(kind="Id"))
+    return table.value
 
 
 def minmax_normalize_columns(table: np.ndarray) -> np.ndarray:
@@ -359,15 +362,12 @@ def grounding_score_maps(params: ModelParams, cases) -> np.ndarray:
     """(cases, N) raw region-sentence cosines, no smoothing; values in
     [-1, 1]. Row c is case c's regions scored against its sentence."""
     bags, rows, sentences = _case_inputs(cases)
-    regions = normalize_rows(encode_regions(params, bags))
-    unit_sentences = normalize_rows(encode_sentences(params, sentences))
-    maps = np.einsum("cnd,cd->cn", regions[rows], unit_sentences)
+    feats = encode_regions(params, bags)
+    regions = unit_rows(feats.reshape(-1, feats.shape[2])).value
+    unit_sentences = unit_rows(encode_sentences(params, sentences)).value
+    maps = np.einsum("cnd,cd->cn", regions.reshape(feats.shape)[rows],
+                     unit_sentences)
     return np.clip(maps, -1.0, 1.0, out=maps)
-
-
-def grounding_score_map(params: ModelParams, case: GroundingCase) -> np.ndarray:
-    """Raw region-sentence cosine per region, no smoothing; values in [-1, 1]."""
-    return grounding_score_maps(params, [case])[0]
 
 
 def box_masks(n_regions: int, boxes) -> np.ndarray:
@@ -385,6 +385,20 @@ def box_masks(n_regions: int, boxes) -> np.ndarray:
     if masks.all(axis=1).any():
         raise ContractError("box must not cover every region")
     return masks
+
+
+def population_stats(values, mask=None):
+    """(mean, population variance) along the last axis, over the entries
+    where mask is true (every entry when mask is None). Each row needs at
+    least one such entry; a 1-D input gives scalars."""
+    v = np.asarray(values, dtype=np.float64)
+    m = np.ones(v.shape, dtype=bool) if mask is None else np.broadcast_to(mask, v.shape)
+    n = np.count_nonzero(m, axis=-1)
+    if v.ndim == 0 or np.any(n == 0):
+        raise ContractError("population_stats expects at least one value in each row")
+    mean = np.where(m, v, 0.0).sum(axis=-1) / n
+    dev = np.where(m, v - mean[..., None], 0.0)
+    return mean, (dev * dev).sum(axis=-1) / n
 
 
 def cnr_rows(score_maps: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -538,12 +552,18 @@ def rank_of_match(score_table: np.ndarray) -> np.ndarray:
 def cosine_match_ranks(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """`rank_of_match` of the cosine table between paired query and
     candidate rows, built RANK_BLOCK_ROWS query rows at a time so that no
-    (q, q) table is held."""
+    (q, q) table is held. Each side is normalized once; each block is
+    clipped in place."""
     if len(queries) != len(candidates):
         raise ContractError("retrieval needs one candidate per query")
-    return _ranks_by_block(
-        len(queries),
-        lambda start, stop: cosine_matrix(queries[start:stop], candidates))
+    unit_queries = unit_rows(queries).value
+    unit_candidates = unit_rows(candidates).value
+
+    def rows(start, stop):
+        block = unit_queries[start:stop] @ unit_candidates.T
+        return np.clip(block, -1.0, 1.0, out=block)
+
+    return _ranks_by_block(len(queries), rows)
 
 
 def lower_median(values) -> float:

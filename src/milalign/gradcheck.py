@@ -304,7 +304,3 @@ def run_suite(step: float = 1e-5, tolerance: float = 1e-4,
         results.append(CheckResult(name=name, instances=instances,
                                    max_relative_error=worst, passed=ok))
     return results
-
-
-def suite_passed(results) -> bool:
-    return all(r.passed for r in results)

@@ -155,7 +155,8 @@ def read_dataclass(cls, obj, path: str = "", **given):
     by its annotation through `_FIELD_READERS`: require_int, require_float,
     require_bool, or require_int with null or absent read as None. A key
     of `obj` that is not a field of `cls` is refused, naming its dotted
-    path.
+    path. The validation errors of `cls` name the bare field and are
+    raised here under `path`.
     """
     if not isinstance(obj, dict):
         raise ContractError(f"{path or 'document'} must be a JSON object")
@@ -166,7 +167,10 @@ def read_dataclass(cls, obj, path: str = "", **given):
             raise ContractError(f"unknown field {_dotted(path, key)}")
     values = {f.name: _FIELD_READERS[f.type](obj, f.name, path)
               for f in fields if f.name not in given}
-    return cls(**values, **given)
+    try:
+        return cls(**values, **given)
+    except ContractError as exc:
+        raise ContractError(_dotted(path, str(exc))) from exc
 
 
 def require_array(obj, key: str, path: str = "") -> np.ndarray:

@@ -25,7 +25,20 @@ from .aggregators import (
     aggregate_local_axis,
     aggregate_sentences_axis,
 )
-from .numeric import NORM_EPS, unit_rows
+
+# Guard against division by a vanishing norm in cosine scores.
+NORM_EPS = 1e-12
+
+
+def unit_rows(x) -> Var:
+    """Rows scaled to unit norm, each norm floored at NORM_EPS. The score
+    tables build their cosines from these rows on the tape, and grounding
+    and retrieval from their `.value`."""
+    xv = as_var(x)
+    if xv.value.ndim != 2:
+        raise ContractError("unit_rows expects a 2-D matrix")
+    norms = ad.l2norm(xv, axis=1, keepdims=True)
+    return ad.div(xv, ad.clip_min(norms, NORM_EPS))
 
 
 def _as_bag(x, name: str) -> Var:

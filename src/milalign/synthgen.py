@@ -54,32 +54,35 @@ class CorpusSpec:
 
     def __post_init__(self):
         if self.concepts < 2:
-            raise ContractError("corpus.concepts must be >= 2")
+            raise ContractError("concepts must be >= 2")
         if self.concepts > min(self.region_dim, self.sentence_dim):
-            raise ContractError("corpus.concepts cannot exceed either feature "
+            raise ContractError("concepts cannot exceed either feature "
                                 "dimension (prototypes are orthonormal)")
         if self.sentence_dim < self.region_dim:
-            raise ContractError("corpus.sentence_dim must be >= corpus.region_dim "
+            raise ContractError("sentence_dim must be >= region_dim "
                                 "(the modality rotation preserves norms)")
         if self.documents < 1:
-            raise ContractError("corpus.documents must be >= 1")
+            raise ContractError("documents must be >= 1")
         if self.sentences_per_doc < 1:
-            raise ContractError("corpus.sentences_per_doc must be >= 1")
+            raise ContractError("sentences_per_doc must be >= 1")
         if not (1 <= self.concepts_min <= self.concepts_max <= self.concepts):
-            raise ContractError("corpus concepts_per_image range is invalid")
+            raise ContractError("concepts_min and concepts_max must satisfy "
+                                "1 <= concepts_min <= concepts_max <= concepts")
         if not (1 <= self.box_min <= self.box_max):
-            raise ContractError("corpus box size range is invalid")
+            raise ContractError("box_min and box_max must give a box size "
+                                "range 1 <= box_min <= box_max")
         if self.concepts_max * self.box_max > self.regions_per_image:
-            raise ContractError("corpus.regions_per_image is too small for the "
+            raise ContractError("regions_per_image is too small for the "
                                 "largest concept/box combination")
         if self.box_max >= self.regions_per_image:
-            raise ContractError("boxes must be proper subsets of the regions")
+            raise ContractError("box_max must be < regions_per_image (boxes "
+                                "must be proper subsets of the regions)")
         if not self.noise_sigma >= 0.0:
-            raise ContractError("corpus.noise_sigma must be >= 0")
+            raise ContractError("noise_sigma must be >= 0")
         if not 0.0 <= self.noise_coupling <= 1.0:
-            raise ContractError("corpus.noise_coupling must lie in [0, 1]")
+            raise ContractError("noise_coupling must lie in [0, 1]")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ContractError("corpus.train_fraction must lie in (0, 1)")
+            raise ContractError("train_fraction must lie in (0, 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -68,8 +68,8 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.local_agg is None and self.global_agg is None:
-            raise ContractError("at least one of train.local_agg / "
-                                "train.global_agg must be set")
+            raise ContractError("local_agg and global_agg: at least one must "
+                                "be set")
         needs = global_param_flags(
             None if self.global_agg is None else self.global_agg.kind)
         if self.model.use_nl != needs["use_nl"]:
@@ -79,23 +79,23 @@ class TrainConfig:
             raise ContractError("model.use_att must be set exactly when the "
                                 "global aggregator is Att")
         if self.batch_size < 2:
-            raise ContractError("train.batch_size must be >= 2")
+            raise ContractError("batch_size must be >= 2")
         if self.sentences_per_bag < 1:
-            raise ContractError("train.sentences_per_bag must be >= 1")
+            raise ContractError("sentences_per_bag must be >= 1")
         if self.epochs < 0:
-            raise ContractError("train.epochs must be >= 0")
+            raise ContractError("epochs must be >= 0")
         if not self.peak_lr > 0.0:
-            raise ContractError("train.peak_lr must be > 0")
+            raise ContractError("peak_lr must be > 0")
         if self.warmup_steps < 0:
-            raise ContractError("train.warmup_steps must be >= 0")
+            raise ContractError("warmup_steps must be >= 0")
         if not self.weight_decay >= 0.0:
-            raise ContractError("train.weight_decay must be >= 0")
+            raise ContractError("weight_decay must be >= 0")
         if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
-            raise ContractError("train.betas must be two values in [0, 1)")
+            raise ContractError("betas must be two values in [0, 1)")
         if not self.adam_eps > 0.0:
-            raise ContractError("train.adam_eps must be > 0")
+            raise ContractError("adam_eps must be > 0")
         if not self.gamma_init > 0.0:
-            raise ContractError("train.gamma_init must be > 0")
+            raise ContractError("gamma_init must be > 0")
 
     def to_dict(self) -> dict:
         return {

@@ -380,8 +380,15 @@ def test_spec_dict_roundtrip():
      "agg: local LSE requires a positive finite gamma"),
     (GlobalAggregatorSpec, {"kind": "NL"},
      "agg: global NL requires a finite gamma >= 0"),
+    (LocalAggregatorSpec, {"kind": "Max", "gamma": 7.0},
+     "agg: local Max takes no gamma"),
+    (GlobalAggregatorSpec, {"kind": "CA", "gamma": 1.0},
+     "agg: global CA takes no gamma"),
+    (SentenceAggregatorSpec, {"kind": "Avg", "gamma": 2.0},
+     "agg: sentence Avg takes no gamma"),
 ], ids=["null-sentence", "string", "nand-slope", "sim-map", "no-kind",
-        "gamma-type", "lse-gamma", "nl-gamma"])
+        "gamma-type", "lse-gamma", "nl-gamma", "max-gamma", "ca-gamma",
+        "avg-gamma"])
 def test_spec_from_dict_refuses_naming_the_path(cls, d, message):
     with pytest.raises(ContractError, match=re.escape(message)):
         spec_from_dict(cls, d, "agg")

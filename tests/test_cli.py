@@ -425,12 +425,15 @@ CHECKPOINT_BAD_VALUES = (
     ("config.betas", 0.9, "config.betas must be a list of two numbers"),
     ("config.betas", [0.9], "config.betas must be a list of two numbers"),
     ("config.batch_size", "8", "config.batch_size must be an integer"),
+    ("config.batch_size", 1, "config.batch_size must be >= 2"),
     ("config.seed", True, "config.seed must be an integer"),
     ("config.peak_lr", "x", "config.peak_lr must be a number"),
     ("config.model.hidden_dim", "x", "config.model.hidden_dim must be an "
                                      "integer"),
     ("config.local_agg.gamma", "x", "config.local_agg.gamma must be a number"),
     ("config.global_agg.gamma", [], "config.global_agg.gamma must be a number"),
+    ("config.sentence_agg.gamma", 2.0,
+     "config.sentence_agg: sentence Avg takes no gamma"),
     ("config.local_agg.extra", 1, "unknown field config.local_agg.extra"),
     ("config.global_agg.extra", 1, "unknown field config.global_agg.extra"),
     ("config.sentence_agg", None, "config.sentence_agg must be a JSON object"),
@@ -510,6 +513,7 @@ CORPUS_HEADER_BAD_VALUES = tuple(
     ("spec.regions_per_image", 8.0,
      "spec.regions_per_image must be an integer"),
     ("spec.extra", 1, "unknown field spec.extra"),
+    ("spec.concepts", 1, "spec.concepts must be >= 2"),
     ("concept_bank.seed", "x", "concept_bank.seed must be an integer"),
     ("concept_bank.region_prototypes", "x",
      "concept_bank.region_prototypes must be numeric"),

@@ -2,6 +2,7 @@
 wholesale aggregator overrides, and derived model dimensions."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,10 @@ def test_aggregator_objects_take_only_kind_and_gamma():
                        match="unknown field train.local_agg.nand_slope"):
         experiment_from_dict({"train": {"local_agg": {"kind": "NAND",
                                                       "nand_slope": 5}}})
+    with pytest.raises(ContractError,
+                       match="train.local_agg: local Max takes no gamma"):
+        experiment_from_dict({"train": {"local_agg": {"kind": "Max",
+                                                      "gamma": 7.0}}})
     cfg = experiment_from_dict({"train": {"local_agg": {"kind": "NAND"}}})
     assert cfg.train.local_agg.kind == "NAND"
 
@@ -148,6 +153,18 @@ def test_type_errors_name_the_field():
         experiment_from_dict({"train": {"epochs": "15"}})
     with pytest.raises(ContractError, match="corpus.noise_sigma"):
         experiment_from_dict({"corpus": {"noise_sigma": "small"}})
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"corpus": {"concepts": 1}}, "corpus.concepts must be >= 2"),
+    ({"model": {"hidden_dim": 0}}, "model.hidden_dim must be >= 1"),
+    ({"train": {"batch_size": 1}}, "train.batch_size must be >= 2"),
+    ({"train": {"local_agg": None, "global_agg": None}},
+     "train.local_agg and global_agg: at least one must be set"),
+], ids=["corpus", "model", "train", "train-routes"])
+def test_range_errors_name_the_section(override, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        experiment_from_dict(override)
 
 
 def test_global_nl_requires_gamma():

@@ -33,7 +33,7 @@ from milalign.evaluation import (
     export_score_maps,
     grounding_cases,
     grounding_hit,
-    grounding_score_map,
+    grounding_score_maps,
     linear_probe,
     lower_median,
     minmax_normalize_columns,
@@ -52,7 +52,6 @@ from milalign.evaluation import (
     zero_shot_classify,
     zero_shot_score_table,
 )
-from milalign.numeric import cosine_matrix
 from milalign.synthgen import (
     CorpusSpec,
     SyntheticDocument,
@@ -371,12 +370,12 @@ def test_grounding_score_map_is_raw_cosine():
     corpus = tiny_corpus()
     _, params = tiny_params()
     case = grounding_cases(corpus.documents)[0]
-    smap = grounding_score_map(params, case)
+    smap = grounding_score_maps(params, [case])[0]
     assert smap.shape == (8,)
     assert np.all(smap >= -1.0) and np.all(smap <= 1.0)
     feats = encode_regions(params, case.region_observations)
-    sent = encode_sentences(params, case.sentence_observation[None, :])
-    assert np.allclose(smap, cosine_matrix(feats, sent)[:, 0], atol=1e-12)
+    sent = encode_sentences(params, case.sentence_observation[None, :])[0]
+    assert np.allclose(smap, [oracles.cos(f, sent) for f in feats], atol=1e-12)
 
 
 def test_evaluate_grounding_aggregates():
@@ -462,7 +461,7 @@ def test_export_score_maps(tmp_path):
     assert len(payload["maps"]) == 4
     first = payload["maps"][0]
     assert np.allclose(first["scores"],
-                       grounding_score_map(params, cases[0]), atol=1e-15)
+                       grounding_score_maps(params, [cases[0]])[0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +515,7 @@ def test_blocked_cosine_ranks_match_the_full_table(monkeypatch, ties):
     else:
         feats = rng.standard_normal((2 * q, dim))
     boxes, sentences = feats[:q], feats[q:]
-    table = cosine_matrix(boxes, sentences)
+    table = np.array([[oracles.cos(b, s) for s in sentences] for b in boxes])
     assert evaluation.cosine_match_ranks(boxes, sentences).tolist() == \
         oracles.match_ranks(table.tolist())
     assert evaluation.cosine_match_ranks(sentences, boxes).tolist() == \

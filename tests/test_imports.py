@@ -1,4 +1,5 @@
-"""The package's import path: numpy is its only third-party import."""
+"""The package's import path: numpy is its only third-party import, and
+the README's Layout block names every module of the package."""
 
 import os
 import subprocess
@@ -21,3 +22,19 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
+
+
+def test_readme_layout_lists_every_module():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("## Layout", 1)[1].split("```")[1]
+    lines = layout.splitlines()
+    start = lines.index("src/milalign/") + 1
+    listed = []
+    for line in lines[start:]:
+        if not line.startswith("  "):
+            break
+        listed.append(line.split()[0])
+    modules = sorted(p.name for p in (SRC / "milalign").glob("*.py")
+                     if p.name != "__init__.py")
+    assert sorted(listed) == modules
+    assert len(listed) == len(set(listed))

@@ -1,21 +1,30 @@
-"""Cosine helpers and population statistics against frozen
-hand-computed values and naive reimplementations."""
+"""The cosine, as `scoring.unit_rows` and the training score table build
+it, and `evaluation.population_stats`, against frozen hand-computed
+values and naive reimplementations."""
 
 import numpy as np
 import pytest
 
 import milalign.autodiff as ad
 import oracles
+from milalign.aggregators import LocalAggregatorSpec, SentenceAggregatorSpec
 from milalign.autodiff import ContractError
-from milalign.numeric import (
-    cosine_matrix,
-    population_stats,
-    unit_rows,
-)
+from milalign.evaluation import population_stats
+from milalign.scoring import pairwise_score_tables, unit_rows
+
+
+def cosine_table(a, b):
+    """Cosines between the rows of a and b from the training score table:
+    one region per image and one sentence per document, which Sum and Id
+    pass through unchanged."""
+    table, _ = pairwise_score_tables(
+        a, 1, b, 1, LocalAggregatorSpec(kind="Sum"), None,
+        SentenceAggregatorSpec(kind="Id"))
+    return table.value
 
 
 def cosine(x, y):
-    return float(cosine_matrix(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
+    return float(cosine_table(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
 
 
 def test_cosine_unit_axes():
@@ -102,7 +111,7 @@ def test_cosine_matrix_matches_pairwise_similarity():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((4, 5))
     b = rng.standard_normal((3, 5))
-    table = cosine_matrix(a, b)
+    table = cosine_table(a, b)
     assert table.shape == (4, 3)
     for i in range(4):
         for j in range(3):
@@ -112,5 +121,5 @@ def test_cosine_matrix_matches_pairwise_similarity():
 def test_cosine_matrix_self_diagonal_is_one():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((6, 4))
-    table = cosine_matrix(a, a)
+    table = cosine_table(a, a)
     assert np.allclose(np.diag(table), 1.0, atol=1e-12)

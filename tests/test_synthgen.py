@@ -32,8 +32,11 @@ def tiny_spec(**kw):
 
 
 def test_spec_validation_messages():
-    with pytest.raises(ContractError, match="corpus.concepts"):
+    # the spec names the bare field; the reader adds the path it read at
+    with pytest.raises(ContractError, match="^concepts must be >= 2$"):
         tiny_spec(concepts=1)
+    with pytest.raises(ContractError, match="^corpus.concepts must be >= 2$"):
+        spec_from_dict(dict(tiny_spec().to_dict(), concepts=1), "corpus")
     with pytest.raises(ContractError, match="feature"):
         tiny_spec(concepts=7)
     with pytest.raises(ContractError, match="sentence_dim"):
