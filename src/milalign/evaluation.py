@@ -9,7 +9,12 @@ Four task families, all operating on frozen parameters:
 * cross-modal retrieval between box features and sentences,
 
 plus the aggregator ablation grid that retrains one model per aggregator
-combination and compares the routes on a normalized table.
+combination and compares the routes on a normalized table. The grid
+trains its rows first and then evaluates them together: the probe sets
+and the grounding and retrieval cases are built once per grid, and the
+probes of all trained rows are fitted together by `linear_probe_stack`,
+one gradient descent over an (rows, n, d) stack of pooled features.
+`linear_probe` is that fit's one-set call.
 
 Each task is a few whole-array expressions over all of its cases. The
 region bags of the distinct documents are stacked and encoded in one
@@ -232,14 +237,35 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
 
     Weights start at zero: the objective is convex, so initialization
     only shifts the early iterates, and zero keeps the probe seed-free.
+    This is the one-set call of `linear_probe_stack`.
+    """
+    x_tr = np.asarray(train_features, dtype=np.float64)
+    x_te = np.asarray(test_features, dtype=np.float64)
+    if x_tr.ndim != 2 or x_te.ndim != 2 or x_tr.shape[1] != x_te.shape[1]:
+        raise ContractError("probe features must be 2-D with a shared dim")
+    return linear_probe_stack(x_tr[None], train_labels, x_te[None],
+                              test_labels, num_classes, iterations, lr)[0]
+
+
+def linear_probe_stack(train_features, train_labels, test_features,
+                       test_labels, num_classes: int | None = None,
+                       iterations: int = 500, lr: float = 0.1) -> list:
+    """`linear_probe` of R feature sets in one gradient descent: (R, n, d)
+    training and (R, m, d) test features against one shared pair of label
+    vectors, one ProbeResult per set. A stacked matmul multiplies slice by
+    slice, so each set gets the bits it would get fitted alone.
+
+    The class count defaults to 1 + the largest training label.
     """
     x_tr = np.asarray(train_features, dtype=np.float64)
     y_tr = np.asarray(train_labels, dtype=np.int64)
     x_te = np.asarray(test_features, dtype=np.float64)
     y_te = np.asarray(test_labels, dtype=np.int64)
-    if x_tr.ndim != 2 or x_te.ndim != 2 or x_tr.shape[1] != x_te.shape[1]:
-        raise ContractError("probe features must be 2-D with a shared dim")
-    if y_tr.shape != (x_tr.shape[0],) or y_te.shape != (x_te.shape[0],):
+    if x_tr.ndim != 3 or x_te.ndim != 3 or x_tr.shape[0] != x_te.shape[0] \
+            or x_tr.shape[2] != x_te.shape[2]:
+        raise ContractError("probe feature stacks must be 3-D with shared "
+                            "set count and dim")
+    if y_tr.shape != (x_tr.shape[1],) or y_te.shape != (x_te.shape[1],):
         raise ContractError("probe labels must align with the feature rows")
     classes = num_classes if num_classes is not None else int(y_tr.max()) + 1
     if np.unique(y_tr).size < 2:
@@ -247,45 +273,55 @@ def linear_probe(train_features, train_labels, test_features, test_labels,
     if y_tr.min() < 0 or y_tr.max() >= classes or y_te.min() < 0 \
             or y_te.max() >= classes:
         raise ContractError("probe labels out of range")
-
-    n, dim = x_tr.shape
-    weights = np.zeros((classes, dim))
-    bias = np.zeros(classes)
-    onehot = np.eye(classes)[y_tr]
-    for _ in range(iterations):
-        probs = ad.softmax(x_tr @ weights.T + bias, 1.0, axis=1).value
-        delta = (probs - onehot) / n
-        weights -= lr * (delta.T @ x_tr)
-        bias -= lr * delta.sum(axis=0)
-
-    test_probs = ad.softmax(x_te @ weights.T + bias, 1.0, axis=1).value
-    accuracy = float(np.mean(np.argmax(test_probs, axis=1) == y_te))
-    aucs = []
-    for c in range(classes):
-        positive = y_te == c
-        if positive.any() and (~positive).any():
-            aucs.append(rank_auc(test_probs[:, c], positive))
-    if not aucs:
+    scored = [c for c in range(classes)
+              if (y_te == c).any() and (y_te != c).any()]
+    if not scored:
         raise ContractError("no class with both positives and negatives in "
                             "the probe test set")
-    return ProbeResult(accuracy=accuracy, auc=float(np.mean(aucs)),
-                       weights=weights, bias=bias)
+
+    sets, n, dim = x_tr.shape
+    weights = np.zeros((sets, classes, dim))
+    bias = np.zeros((sets, 1, classes))
+    onehot = np.eye(classes)[y_tr]
+    for _ in range(iterations):
+        logits = x_tr @ weights.transpose(0, 2, 1) + bias
+        delta = (ad.softmax(logits, 1.0, axis=2).value - onehot) / n
+        weights -= lr * (delta.transpose(0, 2, 1) @ x_tr)
+        bias -= lr * delta.sum(axis=1, keepdims=True)
+
+    test_probs = ad.softmax(x_te @ weights.transpose(0, 2, 1) + bias, 1.0,
+                            axis=2).value
+    correct = np.argmax(test_probs, axis=2) == y_te
+    return [ProbeResult(
+        accuracy=float(np.mean(correct[r])),
+        auc=float(np.mean([rank_auc(test_probs[r, :, c], y_te == c)
+                           for c in scored])),
+        weights=weights[r], bias=bias[r, 0]) for r in range(sets)]
 
 
-def probe_eval(params: ModelParams, train_docs, test_docs) -> ProbeResult:
-    """Linear probe on the pooled image features of each split's
-    single-concept documents, labelled by their concept."""
+def probe_sets(train_docs, test_docs):
+    """(train docs, test docs, train labels, test labels, classes) of the
+    linear probe: each split's single-concept documents, labelled by their
+    concept, and a class count of 1 + the largest label of either split."""
     probe_train = single_concept_documents(train_docs)
     probe_test = single_concept_documents(test_docs)
     if not probe_train or not probe_test:
         raise ContractError("the linear probe needs single-concept documents "
                             "in both splits")
-    return linear_probe(
-        pooled_image_features(params, probe_train),
-        [document_label(d) for d in probe_train],
-        pooled_image_features(params, probe_test),
-        [document_label(d) for d in probe_test],
-    )
+    y_tr = np.array([document_label(d) for d in probe_train])
+    y_te = np.array([document_label(d) for d in probe_test])
+    classes = 1 + int(max(y_tr.max(), y_te.max()))
+    return probe_train, probe_test, y_tr, y_te, classes
+
+
+def probe_eval(params: ModelParams, train_docs, test_docs) -> ProbeResult:
+    """Linear probe on the pooled image features of each split's
+    single-concept documents, labelled by their concept."""
+    probe_train, probe_test, y_tr, y_te, classes = probe_sets(train_docs,
+                                                              test_docs)
+    return linear_probe(pooled_image_features(params, probe_train), y_tr,
+                        pooled_image_features(params, probe_test), y_te,
+                        num_classes=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -647,47 +683,51 @@ def _row_config(base: TrainConfig, entry: GridEntry, seed: int) -> TrainConfig:
                                global_agg=entry.global_agg, seed=seed)
 
 
-def _row_metrics(params: ModelParams, train_docs, test_docs,
-                 retrieval_limit: int | None = None) -> dict:
-    probe = probe_eval(params, train_docs, test_docs)
-    grounding = evaluate_grounding(params, grounding_cases(test_docs))
-    retrieval = retrieval_eval(params,
-                               retrieval_cases(test_docs, retrieval_limit))
-    medr = 0.5 * (retrieval.box_to_sentence_medr
-                  + retrieval.sentence_to_box_medr)
-    return {
-        "probe_auc": probe.auc,
-        "mean_cnr": grounding.mean_cnr,
-        "retrieval_medr": medr,
-    }
-
-
 def retrieval_cases(documents, limit: int | None = None) -> list:
-    cases = grounding_cases(documents)
-    if limit is not None:
-        cases = cases[:limit]
-    return cases
+    return grounding_cases(documents)[:limit]
 
 
 def ablation_grid(train_docs, test_docs, grid, base_config: TrainConfig,
                   seed: int, retrieval_limit: int | None = None) -> list:
-    """Train one model per grid entry and collect its comparison metrics.
+    """Train one model per grid entry, then evaluate the trained models
+    together.
 
     A configuration that fails to train (non-finite loss) contributes a
-    failed row rather than aborting the grid.
+    failed row rather than aborting the grid. The probe sets and the
+    grounding and retrieval cases are built once per grid, every trained
+    row's probe is fitted in one `linear_probe_stack`, and grounding and
+    retrieval run per row.
     """
-    rows = []
+    rows, models = [], []
     for entry in grid:
         config = _row_config(base_config, entry, seed)
         try:
             result = train(train_docs, config)
-            params = unflatten_params(config.model, result.params_flat)
-            metrics = _row_metrics(params, train_docs, test_docs,
-                                   retrieval_limit)
-            rows.append(AblationRow(name=entry.name, trained=True, **metrics))
         except NonFiniteLossError as exc:
             rows.append(AblationRow(name=entry.name, trained=False,
                                     error=str(exc)))
+            continue
+        rows.append(AblationRow(name=entry.name, trained=True))
+        models.append(unflatten_params(config.model, result.params_flat))
+    if not models:
+        return rows
+
+    probe_train, probe_test, y_tr, y_te, classes = probe_sets(train_docs,
+                                                              test_docs)
+    probes = linear_probe_stack(
+        np.stack([pooled_image_features(p, probe_train) for p in models]),
+        y_tr,
+        np.stack([pooled_image_features(p, probe_test) for p in models]),
+        y_te, classes)
+    cases = grounding_cases(test_docs)
+    r_cases = cases[:retrieval_limit]
+    for row, params, probe in zip([r for r in rows if r.trained], models,
+                                  probes):
+        retrieval = retrieval_eval(params, r_cases)
+        row.probe_auc = probe.auc
+        row.mean_cnr = evaluate_grounding(params, cases).mean_cnr
+        row.retrieval_medr = 0.5 * (retrieval.box_to_sentence_medr
+                                    + retrieval.sentence_to_box_medr)
     return rows
 
 

@@ -107,6 +107,26 @@ def test_eval_task_subset(pipeline, tmp_path):
     assert tasks == {"zero_shot", "grounding"}
 
 
+def test_eval_probes_a_test_concept_the_training_split_lacks(tmp_path):
+    # at 60 documents and corpus seed 3, a concept has single-concept
+    # documents in the test split only; the probe's class count covers it
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"corpus": {"documents": 60, "seed": 3},
+                                       "train": {"warmup_steps": 5}}))
+    corpus_path = tmp_path / "data" / "corpus.jsonl"
+    run_dir = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(config_path),
+                     "--out", str(tmp_path / "data")]) == 0
+    assert cli.main(["train", "--config", str(config_path),
+                     "--corpus", str(corpus_path), "--out", str(run_dir)]) == 0
+    assert cli.main(["eval", "--config", str(config_path),
+                     "--checkpoint", str(run_dir / "checkpoint.json"),
+                     "--corpus", str(corpus_path), "--out", str(run_dir)]) == 0
+    report = (run_dir / "eval_report.csv").read_text().splitlines()
+    assert {ln.split(",")[0] for ln in report[1:]} == \
+        {"zero_shot", "linear_probe", "grounding", "retrieval"}
+
+
 def test_eval_rejects_unknown_task(pipeline, tmp_path, capsys):
     rc = cli.main(["eval", "--config", str(pipeline.config_path),
                    "--checkpoint", str(pipeline.checkpoint_path),

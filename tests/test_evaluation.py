@@ -35,11 +35,14 @@ from milalign.evaluation import (
     grounding_hit,
     grounding_score_maps,
     linear_probe,
+    linear_probe_stack,
     lower_median,
     minmax_normalize_columns,
     miou,
     normalize_grid,
     pooled_image_features,
+    probe_eval,
+    probe_sets,
     prompt_matrix,
     rank_auc,
     rank_of_match,
@@ -59,7 +62,7 @@ from milalign.synthgen import (
     prompt_bank,
     split_corpus,
 )
-from milalign.trainer import TrainConfig, train
+from milalign.trainer import NonFiniteLossError, TrainConfig, train
 
 
 def tiny_corpus(documents=60, seed=0, **kw):
@@ -272,6 +275,64 @@ def test_linear_probe_validation():
     with pytest.raises(ContractError):
         linear_probe(np.zeros((4, 2)), [0, 1, 0, 1], np.zeros((4, 3)),
                      [0, 1, 0, 1])
+
+
+def test_linear_probe_stack_matches_each_set_fitted_alone():
+    rng = np.random.default_rng(5)
+    x_tr, x_te = rng.standard_normal((3, 50, 4)), rng.standard_normal((3, 30, 4))
+    y_tr, y_te = rng.integers(0, 4, size=50), rng.integers(0, 4, size=30)
+    y_tr[:4] = y_te[:4] = [0, 1, 2, 3]
+    stacked = linear_probe_stack(x_tr, y_tr, x_te, y_te, iterations=60)
+    assert len(stacked) == 3
+    for r, got in enumerate(stacked):
+        alone = linear_probe(x_tr[r], y_tr, x_te[r], y_te, iterations=60)
+        assert np.array_equal(got.weights, alone.weights)
+        assert np.array_equal(got.bias, alone.bias)
+        assert got.accuracy == alone.accuracy
+        assert got.auc == alone.auc
+
+
+def test_linear_probe_stack_validation():
+    x = np.zeros((2, 4, 3))
+    with pytest.raises(ContractError, match="3-D"):
+        linear_probe_stack(x[0], [0, 1, 0, 1], x[0], [0, 1, 0, 1])
+    with pytest.raises(ContractError, match="3-D"):
+        linear_probe_stack(x, [0, 1, 0, 1], x[:1], [0, 1, 0, 1])
+    with pytest.raises(ContractError, match="align"):
+        linear_probe_stack(x, [0, 1, 0], x, [0, 1, 0, 1])
+
+
+def test_probe_class_count_covers_both_splits():
+    # this corpus's test split holds a single-concept document of a
+    # concept that no single-concept training document has
+    corpus = generate_corpus(CorpusSpec(documents=60, seed=3))
+    train_part, test_part = split_corpus(corpus, corpus.spec.train_fraction,
+                                         corpus.spec.seed)
+    _, _, y_tr, y_te, classes = probe_sets(train_part.documents,
+                                           test_part.documents)
+    assert y_te.max() > y_tr.max()
+    assert classes == 1 + y_te.max()
+    config = ModelConfig(region_input_dim=corpus.spec.region_dim,
+                         sentence_input_dim=corpus.spec.sentence_dim,
+                         hidden_dim=8, embed_dim=5)
+    params = unflatten_params(config, init_model(config, 14.0, 0))
+    result = probe_eval(params, train_part.documents, test_part.documents)
+    assert result.weights.shape[0] == classes
+    assert 0.0 <= result.auc <= 1.0
+
+
+def test_probe_class_count_is_unchanged_when_training_holds_the_top_label():
+    corpus = tiny_corpus(documents=80)
+    train_part, test_part = split_corpus(corpus, 0.6, seed=0)
+    probe_train, probe_test, y_tr, y_te, classes = probe_sets(
+        train_part.documents, test_part.documents)
+    assert classes == 1 + y_tr.max()
+    _, params = tiny_params()
+    got = probe_eval(params, train_part.documents, test_part.documents)
+    want = linear_probe(pooled_image_features(params, probe_train), y_tr,
+                        pooled_image_features(params, probe_test), y_te)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.auc == want.auc
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +728,64 @@ def test_ablation_grid_runs_and_reports_failures():
     assert not rows[0].trained
     assert "non-finite" in rows[0].error
     assert rows[0].probe_auc is None
+
+
+def _grid_setup():
+    corpus = tiny_corpus(documents=80)
+    train_part, test_part = split_corpus(corpus, 0.6, seed=0)
+    base = TrainConfig(
+        model=ModelConfig(region_input_dim=6, sentence_input_dim=6,
+                          hidden_dim=8, embed_dim=5),
+        local_agg=LocalAggregatorSpec(kind="Avg"),
+        batch_size=8, sentences_per_bag=2, epochs=1, warmup_steps=2, seed=0)
+    grid = [GridEntry("Max", local_agg=LocalAggregatorSpec(kind="Max")),
+            GridEntry("LSE", local_agg=LocalAggregatorSpec(kind="LSE",
+                                                           gamma=0.5)),
+            GridEntry("g-Att", global_agg=GlobalAggregatorSpec(kind="Att"))]
+    return train_part.documents, test_part.documents, grid, base
+
+
+def test_grid_rows_match_single_row_grids_around_a_failed_row(monkeypatch):
+    train_docs, test_docs, grid, base = _grid_setup()
+    alone = [ablation_grid(train_docs, test_docs, [entry], base, seed=0,
+                           retrieval_limit=30)[0] for entry in grid]
+
+    real_train = evaluation.train
+
+    def fail_lse(docs, config):
+        if config.local_agg is not None and config.local_agg.kind == "LSE":
+            raise NonFiniteLossError("non-finite loss at step 0")
+        return real_train(docs, config)
+
+    monkeypatch.setattr(evaluation, "train", fail_lse)
+    rows = ablation_grid(train_docs, test_docs, grid, base, seed=0,
+                         retrieval_limit=30)
+    assert [r.name for r in rows] == ["Max", "LSE", "g-Att"]
+    assert not rows[1].trained
+    assert rows[1].error == "non-finite loss at step 0"
+    assert (rows[1].probe_auc, rows[1].mean_cnr,
+            rows[1].retrieval_medr) == (None, None, None)
+    for got, want in ((rows[0], alone[0]), (rows[2], alone[2])):
+        assert got.trained
+        assert (got.probe_auc, got.mean_cnr, got.retrieval_medr) == \
+            (want.probe_auc, want.mean_cnr, want.retrieval_medr)
+
+
+def test_grid_fits_its_probes_once_whatever_its_row_count(monkeypatch):
+    train_docs, test_docs, grid, base = _grid_setup()
+    fits = []
+    fit = evaluation.linear_probe_stack
+
+    def counted(train_features, *args, **kwargs):
+        fits.append(len(train_features))
+        return fit(train_features, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "linear_probe_stack", counted)
+    for rows in (1, 3):
+        fits.clear()
+        ablation_grid(train_docs, test_docs, grid[:rows], base, seed=0,
+                      retrieval_limit=30)
+        assert fits == [rows]
 
 
 def test_normalize_grid_flips_median_rank():
