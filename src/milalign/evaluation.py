@@ -14,7 +14,10 @@ trains its rows first and then evaluates them together: the probe sets
 and the grounding and retrieval cases are built once per grid, and the
 probes of all trained rows are fitted together by `linear_probe_stack`,
 one gradient descent over an (rows, n, d) stack of pooled features.
-`linear_probe` is that fit's one-set call.
+`linear_probe` is that fit's one-set call. The descent runs in place on
+one buffer of logits, with no tape op per iteration, and sums in the
+order of the whole-array softmax regression it replaces, so the weights
+are the same bits.
 
 Each task is a few whole-array expressions over all of its cases. The
 region bags of the distinct documents are stacked and encoded in one
@@ -24,10 +27,12 @@ scores come from the training score table, `scoring.pairwise_score_tables`,
 with each prompt a one-sentence document; grounding and retrieval take
 their cosines from the values of `scoring.unit_rows`, as the score table
 does. Grounding scores every case as one (cases, N) array and reduces it
-with masked array expressions; the one-map functions `cnr`, `miou` and
+with masked array expressions. mIoU gives each score the number of
+thresholds it reaches and counts those levels per case, so no (cases,
+thresholds, N) array is built. The one-map functions `cnr`, `miou` and
 `grounding_hit` are one-row calls of the same expressions. Retrieval
 builds its cosine table a block of rows at a time, in each direction, and
-ranks each block's rows against their own entries.
+ranks each row's own entry in one comparison pass over its block.
 """
 
 from __future__ import annotations
@@ -230,6 +235,20 @@ def rank_auc(scores, positive_mask) -> float:
                  / (n_pos * n_neg))
 
 
+def _softmax_classes(logits: np.ndarray) -> np.ndarray:
+    """`ad.softmax(logits, 1.0, axis=2)` of a 3-D array whose last axis is
+    contiguous, written over `logits` and returned, bit for bit the same:
+    the class-axis max (exact in any order) is taken one column at a time,
+    and the class sum is the same reduction over the same rows."""
+    top = logits[:, :, 0].copy()
+    for c in range(1, logits.shape[2]):
+        np.maximum(top, logits[:, :, c], out=top)
+    logits -= top[:, :, None]
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=2, keepdims=True)
+    return logits
+
+
 def linear_probe(train_features, train_labels, test_features, test_labels,
                  num_classes: int | None = None, iterations: int = 500,
                  lr: float = 0.1) -> ProbeResult:
@@ -281,22 +300,34 @@ def linear_probe_stack(train_features, train_labels, test_features,
 
     sets, n, dim = x_tr.shape
     weights = np.zeros((sets, classes, dim))
-    bias = np.zeros((sets, 1, classes))
-    onehot = np.eye(classes)[y_tr]
+    bias = np.zeros((sets, classes))
+    # one (n, sets, classes) buffer holds each iteration's logits, then
+    # their softmax, then the gradient. Each row's classes stay contiguous,
+    # so the class sums add in the order they do on (sets, n, classes), and
+    # the bias sum over n, sequential on either layout, adds whole rows.
+    delta = np.empty((n, sets, classes))
+    per_set = delta.transpose(1, 0, 2)
+    samples = np.arange(n)
+    step = np.empty_like(weights)
     for _ in range(iterations):
-        logits = x_tr @ weights.transpose(0, 2, 1) + bias
-        delta = (ad.softmax(logits, 1.0, axis=2).value - onehot) / n
-        weights -= lr * (delta.transpose(0, 2, 1) @ x_tr)
-        bias -= lr * delta.sum(axis=1, keepdims=True)
+        np.matmul(x_tr, weights.transpose(0, 2, 1), out=per_set)
+        delta += bias
+        _softmax_classes(delta)
+        delta[samples, :, y_tr] -= 1.0  # the one-hot labels
+        delta /= n
+        np.matmul(per_set.transpose(0, 2, 1), x_tr, out=step)
+        step *= lr
+        weights -= step
+        bias -= lr * delta.sum(axis=0)
 
-    test_probs = ad.softmax(x_te @ weights.transpose(0, 2, 1) + bias, 1.0,
-                            axis=2).value
+    test_probs = _softmax_classes(x_te @ weights.transpose(0, 2, 1)
+                                  + bias[:, None])
     correct = np.argmax(test_probs, axis=2) == y_te
     return [ProbeResult(
         accuracy=float(np.mean(correct[r])),
         auc=float(np.mean([rank_auc(test_probs[r, :, c], y_te == c)
                            for c in scored])),
-        weights=weights[r], bias=bias[r, 0]) for r in range(sets)]
+        weights=weights[r], bias=bias[r]) for r in range(sets)]
 
 
 def probe_sets(train_docs, test_docs):
@@ -447,12 +478,26 @@ def cnr_rows(score_maps: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 def miou_rows(score_maps: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Per row, the mean IoU of the thresholded map against the box over
-    IOU_THRESHOLDS. The IoUs are summed in grid order, so a map gives the
-    same bits whichever batch it is scored in."""
-    predicted = score_maps[:, None, :] >= IOU_THRESHOLDS[None, :, None]
-    inside = masks[:, None, :]
-    inter = np.count_nonzero(predicted & inside, axis=2)
-    union = np.count_nonzero(predicted | inside, axis=2)  # >= box size >= 1
+    IOU_THRESHOLDS. A score lies in the predicted region of every
+    threshold it reaches, so each row counts its scores, in the box and
+    overall, by the number of thresholds they reach. The IoUs are summed
+    in grid order, so a map gives the same bits whichever batch it is
+    scored in."""
+    cases = score_maps.shape[0]
+    levels = IOU_THRESHOLDS.size + 1
+    bins = (np.searchsorted(IOU_THRESHOLDS, score_maps, side="right")
+            + levels * np.arange(cases)[:, None])
+
+    def reached(selected):
+        """(cases, thresholds) count of the selected scores reaching each
+        threshold: the scores whose level lies above its index."""
+        counts = np.bincount(selected, minlength=cases * levels)
+        return np.cumsum(counts.reshape(cases, levels)[:, :0:-1],
+                         axis=1)[:, ::-1]
+
+    inter = reached(bins[masks])
+    union = (reached(bins.ravel()) + np.count_nonzero(masks, axis=1)[:, None]
+             - inter)  # >= box size >= 1
     return np.cumsum(inter / union, axis=1)[:, -1] / IOU_THRESHOLDS.size
 
 
@@ -563,16 +608,18 @@ def _ranks_by_block(q: int, rows) -> np.ndarray:
     ranks = np.empty(q, dtype=np.int64)
     for start in range(0, q, RANK_BLOCK_ROWS):
         block = rows(start, start + RANK_BLOCK_ROWS)
+        stop = start + block.shape[0]
         local = np.arange(block.shape[0])
         own = block[local, start + local][:, None]
-        better = np.count_nonzero(block > own, axis=1)
-        # a tie besides the row's own entry is rare: look for the earlier
-        # tied candidates only in the rows that have one
-        tied = np.flatnonzero(np.count_nonzero(block == own, axis=1) > 1)
-        k, col = np.nonzero(block[tied] == own[tied])
-        k = tied[k]
-        earlier = np.bincount(k[col < start + k], minlength=block.shape[0])
-        ranks[start:start + block.shape[0]] = 1 + better + earlier
+        # a candidate ranks ahead when it scores higher, or the same before
+        # the row's own index
+        ahead = np.empty(block.shape, dtype=bool)
+        np.greater_equal(block[:, :start], own, out=ahead[:, :start])
+        np.greater(block[:, stop:], own, out=ahead[:, stop:])
+        square = block[:, start:stop]
+        ahead[:, start:stop] = np.where(local[:, None] > local, square >= own,
+                                        square > own)
+        ranks[start:stop] = 1 + np.count_nonzero(ahead, axis=1)
     return ranks
 
 

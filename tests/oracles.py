@@ -7,6 +7,11 @@ floors, no arrays. Specs are read for their fields only. Tests compare
 `pairwise_score_tables`, `infonce_score_table` and the batched
 evaluation against these, so nothing here may call into them.
 
+`linear_probe_descent` is the probe's gradient descent as whole-array
+expressions, one `autodiff.softmax` per iteration and every temporary
+fresh: the form the in-place descent in `evaluation.linear_probe_stack`
+must reproduce bit for bit.
+
 `canonical_json` formats every value one at a time and `generate_corpus`
 draws and builds one region at a time: the element-by-element forms that
 `jsonio.dumps_canonical` and `synthgen.generate_corpus` must reproduce
@@ -17,6 +22,8 @@ import json
 import math
 
 import numpy as np
+
+from milalign import autodiff as ad
 
 
 def cos(a, b):
@@ -189,6 +196,24 @@ def match_ranks(table):
                     if table[i][j] > table[i][i]
                     or (table[i][j] == table[i][i] and j < i))
             for i in range(q)]
+
+
+def linear_probe_descent(train_features, train_labels, classes, iterations,
+                         lr):
+    """(weights (R, classes, d), bias (R, classes)) of softmax regression
+    on an (R, n, d) stack of feature sets, from zero, by full-batch
+    gradient descent."""
+    x = np.asarray(train_features, dtype=np.float64)
+    sets, n, dim = x.shape
+    weights = np.zeros((sets, classes, dim))
+    bias = np.zeros((sets, 1, classes))
+    onehot = np.eye(classes)[np.asarray(train_labels)]
+    for _ in range(iterations):
+        logits = x @ weights.transpose(0, 2, 1) + bias
+        delta = (ad.softmax(logits, 1.0, axis=2).value - onehot) / n
+        weights -= lr * (delta.transpose(0, 2, 1) @ x)
+        bias -= lr * delta.sum(axis=1, keepdims=True)
+    return weights, bias[:, 0]
 
 
 def canonical_json(obj) -> str:

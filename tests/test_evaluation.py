@@ -23,7 +23,8 @@ from milalign.evaluation import (
     GridEntry,
     GroundingCase,
     ablation_grid,
-    cnr,
+    box_masks,
+    cnr_rows,
     VARIANCE_GUARD,
     default_grid,
     document_label,
@@ -32,13 +33,13 @@ from milalign.evaluation import (
     evaluate_grounding,
     export_score_maps,
     grounding_cases,
-    grounding_hit,
     grounding_score_maps,
+    hit_rows,
     linear_probe,
     linear_probe_stack,
     lower_median,
     minmax_normalize_columns,
-    miou,
+    miou_rows,
     normalize_grid,
     pooled_image_features,
     probe_eval,
@@ -292,6 +293,24 @@ def test_linear_probe_stack_matches_each_set_fitted_alone():
         assert got.auc == alone.auc
 
 
+@pytest.mark.parametrize("sets", [1, 3])
+@pytest.mark.parametrize("classes", [2, 5, 8, 13])
+def test_linear_probe_stack_is_the_plain_descent_bit_for_bit(sets, classes):
+    # features of scale 40 give logits far beyond exp's range unless the
+    # class max is shifted out; the zero start ties every logit at first
+    rng = np.random.default_rng(100 + 10 * sets + classes)
+    n, m, dim = 9 * classes, 4 * classes, 6
+    x_tr = 40.0 * rng.standard_normal((sets, n, dim))
+    x_te = 40.0 * rng.standard_normal((sets, m, dim))
+    y_tr, y_te = rng.integers(0, classes, n), rng.integers(0, classes, m)
+    y_tr[:classes] = y_te[:classes] = np.arange(classes)
+    got = linear_probe_stack(x_tr, y_tr, x_te, y_te, iterations=80, lr=0.3)
+    weights, bias = oracles.linear_probe_descent(x_tr, y_tr, classes, 80, 0.3)
+    for r, probe in enumerate(got):
+        assert np.array_equal(probe.weights, weights[r])
+        assert np.array_equal(probe.bias, bias[r])
+
+
 def test_linear_probe_stack_validation():
     x = np.zeros((2, 4, 3))
     with pytest.raises(ContractError, match="3-D"):
@@ -369,31 +388,37 @@ def test_iou_threshold_grid_is_frozen():
     assert np.allclose(np.diff(IOU_THRESHOLDS), 0.05)
 
 
+def one_map(metric, scores, box):
+    """A per-row grounding metric of one score map against one box."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return metric(scores[None], box_masks(scores.size, [box]))[0]
+
+
 def test_cnr_frozen_oracle():
     # inside {1.0, 0.8}, outside {0.2, 0.0}:
     # |0.9 - 0.1| / sqrt(0.01 + 0.01 + 1e-8)
     score_map = np.asarray([1.0, 0.8, 0.2, 0.0])
-    got = cnr(score_map, (0, 1))
+    got = one_map(cnr_rows, score_map, (0, 1))
     assert abs(got - 5.656852835279349) < 1e-12
 
 
 def test_cnr_zero_variance_stays_finite():
     score_map = np.asarray([0.7, 0.7, 0.1, 0.1])
-    got = cnr(score_map, (0, 1))
+    got = one_map(cnr_rows, score_map, (0, 1))
     assert abs(got - 0.6 / math.sqrt(1e-8)) < 1e-6
 
 
 def test_cnr_box_must_not_cover_everything():
     with pytest.raises(ContractError, match="every region"):
-        cnr(np.asarray([1.0, 0.5]), (0, 1))
+        one_map(cnr_rows, np.asarray([1.0, 0.5]), (0, 1))
     with pytest.raises(ContractError):
-        cnr(np.asarray([1.0, 0.5]), ())
+        one_map(cnr_rows, np.asarray([1.0, 0.5]), ())
 
 
 def test_miou_frozen_oracle():
     # scores [1, 0] with box {0}: 21 thresholds at or below 0 predict both
     # regions (IoU 1/2), the 20 above predict only region 0 (IoU 1)
-    got = miou(np.asarray([1.0, 0.0]), (0,))
+    got = one_map(miou_rows, np.asarray([1.0, 0.0]), (0,))
     assert abs(got - 30.5 / 41.0) < 1e-15
 
 
@@ -410,21 +435,44 @@ def test_miou_matches_naive_loop():
             union = np.logical_or(pred, mask).sum()
             inter = np.logical_and(pred, mask).sum()
             total += inter / union if union else 0.0
-        assert abs(miou(scores, box) - total / 41.0) < 1e-12
+        assert abs(one_map(miou_rows, scores, box) - total / 41.0) < 1e-12
+
+
+def test_miou_on_the_threshold_grid_matches_naive_loop():
+    # every score an exact multiple of 0.05, made both the way the grid is
+    # and as k * 0.05 (an ulp off for some k); -1 and 1 in every map but
+    # every 7th, which is constant on a threshold; boxes of every size
+    # from 1 to N - 1
+    rng = np.random.default_rng(8)
+    n = 8
+    steps = rng.integers(-20, 21, size=(70, n))
+    maps = np.where(rng.random((70, n)) < 0.5, steps * 5 / 100.0, steps * 0.05)
+    maps[:, 0], maps[:, 1] = -1.0, 1.0
+    maps[::7] = IOU_THRESHOLDS[rng.integers(0, 41)]
+    boxes = [tuple(rng.permutation(n)[:1 + c % (n - 1)]) for c in range(70)]
+    got = miou_rows(maps, box_masks(n, boxes))
+    for scores, box, value in zip(maps, boxes, got):
+        mask = np.isin(np.arange(n), box)
+        total = 0.0
+        for t in IOU_THRESHOLDS:
+            pred = scores >= t
+            total += (np.logical_and(pred, mask).sum()
+                      / np.logical_or(pred, mask).sum())
+        assert value == total / 41.0
 
 
 def test_cnr_uses_population_variance():
     # inside {0.3}: mean 0.3, variance 0; outside {1.0, 0.8}: mean 0.9 and
     # variance 0.01, the squared deviations divided by n = 2, not n - 1
-    got = cnr(np.asarray([0.3, 1.0, 0.8]), (0,))
+    got = one_map(cnr_rows, np.asarray([0.3, 1.0, 0.8]), (0,))
     assert abs(got - 0.6 / math.sqrt(0.01 + 1e-8)) < 1e-12
 
 
 def test_grounding_hit_is_argmax_membership():
-    assert grounding_hit(np.asarray([0.9, 0.1, 0.5]), (0, 2))
-    assert not grounding_hit(np.asarray([0.1, 0.9, 0.5]), (0, 2))
+    assert one_map(hit_rows, np.asarray([0.9, 0.1, 0.5]), (0, 2))
+    assert not one_map(hit_rows, np.asarray([0.1, 0.9, 0.5]), (0, 2))
     # ties resolve to the first index
-    assert grounding_hit(np.asarray([0.9, 0.9, 0.1]), (0,))
+    assert one_map(hit_rows, np.asarray([0.9, 0.9, 0.1]), (0,))
 
 
 def test_grounding_score_map_is_raw_cosine():
@@ -480,8 +528,8 @@ def test_grounding_metrics_match_straight_line_oracle(monkeypatch):
         assert summary.per_case_cnr[c] == pytest.approx(want_cnr, rel=1e-12)
         assert summary.per_case_miou[c] == want_miou
         assert summary.per_case_hit[c] == want_hit
-        assert miou(maps[c], box) == want_miou
-        assert grounding_hit(maps[c], box) == want_hit
+        assert one_map(miou_rows, maps[c], box) == want_miou
+        assert one_map(hit_rows, maps[c], box) == want_hit
 
 
 def test_ragged_cases_are_refused(tmp_path):
@@ -583,6 +631,22 @@ def test_blocked_cosine_ranks_match_the_full_table(monkeypatch, ties):
         oracles.match_ranks(table.T.tolist())
     with pytest.raises(ContractError):
         evaluation.cosine_match_ranks(boxes, sentences[:-1])
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+def test_ranks_with_ties_match_double_loop_at_any_block_size(monkeypatch,
+                                                             block_rows):
+    monkeypatch.setattr(evaluation, "RANK_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(30 + block_rows)
+    q = 11
+    table = np.round(rng.uniform(-1.0, 1.0, (q, q)) * 2) / 2
+    table[4] = table[3]        # duplicate rows, across a block edge at 3
+    table[:, 6] = table[:, 5]  # duplicate columns, across one at 1 and 3
+    table[2, [1, 3]] = table[2, 2]  # own entry tied before and after
+    table[9, [8, 10]] = table[9, 9]
+    for t in (table, table.T, np.full((q, q), 0.25)):
+        assert rank_of_match(t).tolist() == oracles.match_ranks(t.tolist())
+    assert rank_of_match(np.full((q, q), 0.25)).tolist() == list(range(1, q + 1))
 
 
 def test_lower_median_convention():
