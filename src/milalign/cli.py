@@ -135,9 +135,10 @@ def cmd_eval(args) -> int:
     if "grounding" in tasks:
         cases = evaluation.grounding_cases(test_docs)
         summary = evaluation.evaluate_grounding(params, cases)
-        rows.append(("grounding", "mean_cnr", summary.mean_cnr))
-        rows.append(("grounding", "mean_miou", summary.mean_miou))
-        rows.append(("grounding", "hit_rate", summary.hit_rate))
+        # the summary's scalar fields, in field order
+        rows += [("grounding", f.name, getattr(summary, f.name))
+                 for f in dataclasses.fields(summary)
+                 if not f.name.startswith("per_case_")]
         rows.append(("grounding", "case_count", float(len(cases))))
         if options.export_score_maps:
             _ensure_dir(args.out)
@@ -154,9 +155,9 @@ def cmd_eval(args) -> int:
         rows.append(("retrieval", "medr_sentence_to_box",
                      result.sentence_to_box_medr))
         for k in result.k_values:
-            rows.append((f"retrieval", f"recall_at_{k}_box_to_sentence",
+            rows.append(("retrieval", f"recall_at_{k}_box_to_sentence",
                          result.box_to_sentence_recall[k]))
-            rows.append((f"retrieval", f"recall_at_{k}_sentence_to_box",
+            rows.append(("retrieval", f"recall_at_{k}_sentence_to_box",
                          result.sentence_to_box_recall[k]))
 
     _ensure_dir(args.out)
@@ -194,31 +195,6 @@ def _parse_seeds(raw: str) -> list:
     return seeds
 
 
-def _write_ablation_csv(path, rows, fingerprint: str, seed: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config {fingerprint} seed {seed}\n")
-        fh.write("name,trained,probe_auc,mean_cnr,retrieval_medr,error\n")
-        for r in rows:
-            def fmt(v):
-                return "" if v is None else jsonio.format_float(float(v))
-            fh.write(f"{r.name},{int(r.trained)},{fmt(r.probe_auc)},"
-                     f"{fmt(r.mean_cnr)},{fmt(r.retrieval_medr)},"
-                     f"{r.error.replace(',', ';')}\n")
-
-
-def _write_normalized_csv(path, table, fingerprint: str, seed: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config {fingerprint} seed {seed}; min-max normalized "
-                 "per metric; retrieval_medr flipped so higher is better\n")
-        fh.write("name,trained,probe_auc,mean_cnr,retrieval_medr\n")
-        for row in table:
-            def fmt(key):
-                v = row[key]
-                return "" if v is None else jsonio.format_float(float(v))
-            fh.write(f"{row['name']},{int(row['trained'])},{fmt('probe_auc')},"
-                     f"{fmt('mean_cnr')},{fmt('retrieval_medr')}\n")
-
-
 def cmd_ablate(args) -> int:
     config = parse_config(args.config)
     _, train_docs, test_docs = _load_split(config, args.corpus)
@@ -239,9 +215,8 @@ def cmd_ablate(args) -> int:
         raw_path = os.path.join(args.out, f"ablation_seed{seed}.csv")
         norm_path = os.path.join(args.out,
                                  f"ablation_seed{seed}_normalized.csv")
-        _write_ablation_csv(raw_path, rows, config.fingerprint, seed)
-        _write_normalized_csv(norm_path, evaluation.normalize_grid(rows),
-                              config.fingerprint, seed)
+        evaluation.write_ablation_csvs(raw_path, norm_path, rows,
+                                       config.fingerprint, seed)
         done = sum(1 for r in rows if r.trained)
         print(f"seed {seed}: {done}/{len(rows)} configurations trained; "
               f"wrote {raw_path}")

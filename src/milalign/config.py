@@ -126,9 +126,6 @@ class ExperimentConfig:
     def fingerprint(self) -> str:
         return jsonio.fingerprint(self.merged)
 
-    def serialize(self) -> str:
-        return jsonio.dumps_canonical(self.merged)
-
 
 def experiment_from_dict(data: dict) -> ExperimentConfig:
     merged = merge_config(data)

@@ -9,15 +9,17 @@ Four task families, all operating on frozen parameters:
 * cross-modal retrieval between box features and sentences,
 
 plus the aggregator ablation grid that retrains one model per aggregator
-combination and compares the routes on a normalized table. The grid
-trains its rows first and then evaluates them together: the probe sets
-and the grounding and retrieval cases are built once per grid, and the
-probes of all trained rows are fitted together by `linear_probe_stack`,
-one gradient descent over an (rows, n, d) stack of pooled features.
-`linear_probe` is that fit's one-set call. The descent runs in place on
-one buffer of logits, with no tape op per iteration, and sums in the
-order of the whole-array softmax regression it replaces, so the weights
-are the same bits.
+combination and compares the routes on a normalized table. Its metrics
+are the metric fields of `AblationRow`: `GRID_METRICS` names them and
+`LOWER_IS_BETTER` marks the median rank, and these two tuples drive
+`normalize_grid` and both ablate CSVs. The grid trains its rows first and
+then evaluates them together: the probe sets and the grounding and
+retrieval cases are built once per grid, and the probes of all trained
+rows are fitted together by `linear_probe_stack`, one gradient descent
+over an (rows, n, d) stack of pooled features. `linear_probe` is that
+fit's one-set call. The descent runs in place on one buffer of logits,
+with no tape op per iteration, and sums in the order of the whole-array
+softmax regression it replaces, so the weights are the same bits.
 
 Each task is a few whole-array expressions over all of its cases. The
 region bags of the distinct documents are stacked and encoded in one
@@ -713,14 +715,24 @@ def default_grid(local_gamma: float = 0.1,
     return entries
 
 
+def _metric(lower_is_better: bool = False):
+    return dataclasses.field(default=None, metadata={"lower": lower_is_better})
+
+
 @dataclass(eq=False)
 class AblationRow:
+    """A grid row; its `_metric` fields, None if it failed, are the metrics."""
     name: str
     trained: bool
-    probe_auc: float | None = None
-    mean_cnr: float | None = None
-    retrieval_medr: float | None = None
+    probe_auc: float | None = _metric()
+    mean_cnr: float | None = _metric()
+    retrieval_medr: float | None = _metric(lower_is_better=True)
     error: str = ""
+
+
+_METRICS = [f for f in dataclasses.fields(AblationRow) if f.metadata]
+GRID_METRICS = tuple(f.name for f in _METRICS)
+LOWER_IS_BETTER = tuple(f.name for f in _METRICS if f.metadata["lower"])
 
 
 def _row_config(base: TrainConfig, entry: GridEntry, seed: int) -> TrainConfig:
@@ -767,10 +779,9 @@ def ablation_grid(train_docs, test_docs, grid, base_config: TrainConfig,
         np.stack([pooled_image_features(p, probe_test) for p in models]),
         y_te, classes)
     cases = grounding_cases(test_docs)
-    r_cases = cases[:retrieval_limit]
     for row, params, probe in zip([r for r in rows if r.trained], models,
                                   probes):
-        retrieval = retrieval_eval(params, r_cases)
+        retrieval = retrieval_eval(params, cases[:retrieval_limit])
         row.probe_auc = probe.auc
         row.mean_cnr = evaluate_grounding(params, cases).mean_cnr
         row.retrieval_medr = 0.5 * (retrieval.box_to_sentence_medr
@@ -781,32 +792,18 @@ def ablation_grid(train_docs, test_docs, grid, base_config: TrainConfig,
 def normalize_grid(rows) -> list:
     """Min-max normalize each metric across successful rows; the median
     rank flips so larger is uniformly better. Equal columns map to 0.5."""
-    metrics = ("probe_auc", "mean_cnr", "retrieval_medr")
-    flipped = {"retrieval_medr"}
-    table = []
-    for name in metrics:
+    out = [{"name": r.name, "trained": r.trained, "error": r.error}
+           for r in rows]
+    for name in GRID_METRICS:
         values = [getattr(r, name) for r in rows if r.trained]
-        lo = min(values) if values else 0.0
-        hi = max(values) if values else 0.0
-        column = {}
-        for r in rows:
-            if not r.trained:
-                column[r.name] = None
-                continue
-            v = getattr(r, name)
-            norm = 0.5 if hi == lo else (v - lo) / (hi - lo)
-            if name in flipped:
-                norm = 0.5 if hi == lo else 1.0 - norm
-            column[r.name] = norm
-        table.append((name, column))
-    out = []
-    for r in rows:
-        out.append({
-            "name": r.name,
-            "trained": r.trained,
-            "error": r.error,
-            **{name: column[r.name] for name, column in table},
-        })
+        lo, hi = min(values, default=0.0), max(values, default=0.0)
+        for r, cells in zip(rows, out):
+            norm = None
+            if r.trained:
+                norm = 0.5 if hi == lo else (getattr(r, name) - lo) / (hi - lo)
+                if name in LOWER_IS_BETTER and hi != lo:
+                    norm = 1.0 - norm
+            cells[name] = norm
     return out
 
 
@@ -816,10 +813,28 @@ def normalize_grid(rows) -> list:
 
 def write_report_csv(path, rows, config_fingerprint: str, seed: int) -> None:
     """CSV of (task, metric, value) rows stamped with fingerprint and seed."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("task,metric,value,config_fingerprint,seed\n")
-        for task, metric, value in rows:
-            if not np.isfinite(value):
-                raise ContractError(f"non-finite metric {task}/{metric}")
-            fh.write(f"{task},{metric},{jsonio.format_float(float(value))},"
-                     f"{config_fingerprint},{seed}\n")
+    for task, metric, value in rows:
+        if not np.isfinite(value):
+            raise ContractError(f"non-finite metric {task}/{metric}")
+    jsonio.write_csv(
+        path, ("task", "metric", "value", "config_fingerprint", "seed"),
+        [(task, metric, float(value), config_fingerprint, seed)
+         for task, metric, value in rows])
+
+
+def write_ablation_csvs(raw_path, normalized_path, rows,
+                        config_fingerprint: str, seed: int) -> None:
+    """The grid's raw and normalized CSVs, stamped with fingerprint and
+    seed; a comma in a failed row's error becomes `;`."""
+    stamp = f"config {config_fingerprint} seed {seed}"
+    jsonio.write_csv(
+        raw_path, ("name", "trained", *GRID_METRICS, "error"),
+        [(r.name, int(r.trained), *(getattr(r, m) for m in GRID_METRICS),
+          r.error.replace(",", ";")) for r in rows],
+        comments=(stamp,))
+    jsonio.write_csv(
+        normalized_path, ("name", "trained", *GRID_METRICS),
+        [(r["name"], int(r["trained"]), *(r[m] for m in GRID_METRICS))
+         for r in normalize_grid(rows)],
+        comments=(f"{stamp}; min-max normalized per metric; "
+                  f"{', '.join(LOWER_IS_BETTER)} flipped so higher is better",))

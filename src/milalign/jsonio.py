@@ -1,4 +1,4 @@
-"""Canonical JSON serialization shared by every file the pipeline writes.
+"""Canonical JSON and CSV output, shared by every file the pipeline writes.
 
 Keys are emitted in sorted order and floats with 17 significant digits,
 which is enough for a float64 to round-trip exactly, so re-reading a file
@@ -182,6 +182,24 @@ def require_array(obj, key: str, path: str = "") -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise ContractError(f"{_dotted(path, key)} must be numeric "
                             f"({exc})") from exc
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return format_float(value)
+    return "" if value is None else str(value)
+
+
+def write_csv(path, columns, rows, comments=()) -> None:
+    """Each comment line after `# `, the header, then one line per row: a
+    float cell with 17 significant digits (a non-finite one is refused),
+    None as an empty cell, and anything else through `str`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for comment in comments:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
 def fingerprint(obj) -> str:

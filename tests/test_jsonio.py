@@ -11,7 +11,8 @@ import pytest
 import oracles
 from milalign.autodiff import ContractError
 from milalign.config import experiment_from_dict
-from milalign.jsonio import dumps_canonical, fingerprint, format_float, loads
+from milalign.jsonio import (dumps_canonical, fingerprint, format_float,
+                              loads, write_csv)
 from milalign.synthgen import (CorpusSpec, generate_corpus, write_corpus,
                                write_prompts)
 
@@ -27,6 +28,23 @@ def test_format_float_rejects_non_finite():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ContractError):
             format_float(bad)
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("a", "b", "c", "d"),
+              [(None, 0.1, 3, "x; y"), (np.float64(2.5), None, True, "")])
+    assert path.read_text().splitlines() == [
+        "a,b,c,d", ",0.10000000000000001,3,x; y", "2.5,,True,"]
+
+
+def test_write_csv_comments_and_non_finite(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("v",), [(1.0,)], comments=("config beef", "seed 2"))
+    assert path.read_text() == "# config beef\n# seed 2\nv\n1\n"
+    for bad in (math.inf, np.float64(math.nan)):
+        with pytest.raises(ContractError, match="non-finite"):
+            write_csv(tmp_path / "bad.csv", ("v",), [(bad,)])
 
 
 def test_keys_are_sorted():
