@@ -2,13 +2,17 @@
 
 Every operation computes its forward value eagerly and records a rule
 mapping the output cotangent back to input cotangents; `Var.backward`
-replays the rules in reverse topological order. The operation set is
-exactly what the scoring and training pipeline needs; `matmul` and
-`transpose` also take (B, ., .) stacks, so a batch of per-image matrix
-products is one tape node rather than a loop of them. Values are plain
-numpy arrays (scalars are 0-d), reductions keep numpy's fixed evaluation
-order, and nothing here mutates a stored value, so repeated runs on the
-same inputs are bit-identical.
+replays the rules in reverse topological order. Only what a gradient
+needs is recorded: a `Var` built directly is a leaf that takes gradients,
+`as_var` of a plain value is a constant, and an operation whose inputs
+are all constants returns a constant with no parents and no rule, so an
+inference pass on plain arrays keeps no intermediate alive. The
+operation set is exactly what the scoring and training pipeline needs;
+`matmul` and `transpose` also take (B, ., .) stacks, so a batch of
+per-image matrix products is one tape node rather than a loop of them.
+Values are plain numpy arrays (scalars are 0-d), reductions keep numpy's
+fixed evaluation order, and nothing here mutates a stored value, so
+repeated runs on the same inputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -28,18 +32,25 @@ def _value(x) -> np.ndarray:
 
 
 class Var:
-    """Node in the reverse-mode tape: a value plus the rule that produced it."""
+    """Node in the reverse-mode tape: a value plus the rule that produced it.
 
-    __slots__ = ("value", "_parents", "_vjp", "grad")
+    `requires_grad` is False only for constants (see `as_var`)."""
+
+    __slots__ = ("value", "_parents", "_vjp", "grad", "requires_grad")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = _value(value)
         self._parents = tuple(parents)
         self._vjp = vjp
         self.grad = None
+        self.requires_grad = True
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(node) into `.grad` for every node feeding self."""
+        """Accumulate d(self)/d(leaf) into `.grad` for every leaf feeding self.
+
+        An interior node's cotangent is released as soon as its rule has
+        passed it on, so after the sweep only self and the leaves hold a
+        `.grad`; constants hold none."""
         if self.value.ndim != 0:
             raise ContractError("backward requires a scalar output")
         order = _toposort(self)
@@ -53,6 +64,8 @@ class Var:
                 if g is None:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
+            if node is not self:
+                node.grad = None
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -62,7 +75,20 @@ class Var:
 
 
 def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
+    """x itself if it is a Var, else x as a constant."""
+    if isinstance(x, Var):
+        return x
+    const = Var(x)
+    const.requires_grad = False
+    return const
+
+
+def _node(out, inputs, vjp) -> Var:
+    """An operation's result: on the tape if any input takes gradients,
+    else a constant that keeps neither its inputs nor its rule."""
+    if any(v.requires_grad for v in inputs):
+        return Var(out, inputs, vjp)
+    return as_var(out)
 
 
 def _toposort(root: Var) -> list:
@@ -105,9 +131,10 @@ def _binary(a, b, fwd, da, db) -> Var:
     out = fwd(x, y)
 
     def vjp(g):
-        return (_unbroadcast(da(g, x, y), x.shape), _unbroadcast(db(g, x, y), y.shape))
+        return (_unbroadcast(da(g, x, y), x.shape) if av.requires_grad else None,
+                _unbroadcast(db(g, x, y), y.shape) if bv.requires_grad else None)
 
-    return Var(out, (av, bv), vjp)
+    return _node(out, (av, bv), vjp)
 
 
 def add(a, b):
@@ -134,7 +161,7 @@ def _unary(x, fwd, dfdx) -> Var:
     def vjp(g):
         return (dfdx(g, val, out),)
 
-    return Var(out, (xv,), vjp)
+    return _node(out, (xv,), vjp)
 
 
 def tanh(x):
@@ -181,24 +208,30 @@ def matmul(a, b) -> Var:
 
         def vjp3(g):
             g = np.asarray(g, dtype=np.float64)
-            return g @ np.swapaxes(y, 1, 2), np.swapaxes(x, 1, 2) @ g
+            return (g @ np.swapaxes(y, 1, 2) if av.requires_grad else None,
+                    np.swapaxes(x, 1, 2) @ g if bv.requires_grad else None)
 
-        return Var(out, (av, bv), vjp3)
+        return _node(out, (av, bv), vjp3)
     if x.ndim == 0 or y.ndim == 0 or x.ndim > 2 or y.ndim > 2:
         raise ContractError("matmul supports 1-D, 2-D and paired 3-D operands")
     out = x @ y
 
     def vjp(g):
         g = np.asarray(g, dtype=np.float64)
-        if x.ndim == 2 and y.ndim == 2:
-            return g @ y.T, x.T @ g
-        if x.ndim == 2 and y.ndim == 1:
-            return np.outer(g, y), x.T @ g
-        if x.ndim == 1 and y.ndim == 2:
-            return y @ g, np.outer(x, g)
-        return g * y, g * x
+        gx = gy = None
+        if av.requires_grad:
+            if x.ndim == 2:
+                gx = g @ y.T if y.ndim == 2 else np.outer(g, y)
+            else:
+                gx = y @ g if y.ndim == 2 else g * y
+        if bv.requires_grad:
+            if x.ndim == 2:
+                gy = x.T @ g
+            else:
+                gy = np.outer(x, g) if y.ndim == 2 else g * x
+        return gx, gy
 
-    return Var(out, (av, bv), vjp)
+    return _node(out, (av, bv), vjp)
 
 
 def _expand_reduced(g, shape, axis, keepdims=False) -> np.ndarray:
@@ -218,7 +251,7 @@ def vsum(x, axis=None) -> Var:
     def vjp(g):
         return (_expand_reduced(g, val.shape, axis),)
 
-    return Var(out, (xv,), vjp)
+    return _node(out, (xv,), vjp)
 
 
 def vmean(x, axis=None) -> Var:
@@ -232,7 +265,7 @@ def vmean(x, axis=None) -> Var:
     def vjp(g):
         return (_expand_reduced(g, val.shape, axis) / n,)
 
-    return Var(out, (xv,), vjp)
+    return _node(out, (xv,), vjp)
 
 
 def vmax(x, axis=None) -> Var:
@@ -253,7 +286,7 @@ def vmax(x, axis=None) -> Var:
             np.put_along_axis(z, idx, gg, axis)
         return (z,)
 
-    return Var(out, (xv,), vjp)
+    return _node(out, (xv,), vjp)
 
 
 def vprod(x, axis: int) -> Var:
@@ -275,7 +308,7 @@ def vprod(x, axis: int) -> Var:
         others = np.moveaxis(prefix * suffix, -1, axis)
         return (others * _expand_reduced(g, val.shape, axis),)
 
-    return Var(out, (xv,), vjp)
+    return _node(out, (xv,), vjp)
 
 
 def logsumexp(x, scale: float = 1.0, axis=None) -> Var:
@@ -296,7 +329,7 @@ def logsumexp(x, scale: float = 1.0, axis=None) -> Var:
     def vjp(g):
         return (w * _expand_reduced(g, val.shape, axis),)
 
-    return Var(out, (xv,), vjp)
+    return _node(out, (xv,), vjp)
 
 
 def softmax(x, scale: float = 1.0, axis: int = 0) -> Var:
@@ -318,7 +351,7 @@ def softmax(x, scale: float = 1.0, axis: int = 0) -> Var:
         inner = np.sum(g * w, axis=axis, keepdims=True)
         return (gamma * w * (g - inner),)
 
-    return Var(w, (xv,), vjp)
+    return _node(w, (xv,), vjp)
 
 
 def reshape(x, shape) -> Var:
@@ -329,7 +362,7 @@ def reshape(x, shape) -> Var:
     def vjp(g):
         return (np.asarray(g, dtype=np.float64).reshape(val.shape),)
 
-    return Var(out, (xv,), vjp)
+    return _node(out, (xv,), vjp)
 
 
 def transpose(x) -> Var:
@@ -342,7 +375,7 @@ def transpose(x) -> Var:
     def vjp(g):
         return (np.swapaxes(np.asarray(g, dtype=np.float64), -1, -2),)
 
-    return Var(np.swapaxes(val, -1, -2), (xv,), vjp)
+    return _node(np.swapaxes(val, -1, -2), (xv,), vjp)
 
 
 def _basic_key(key) -> bool:
@@ -362,7 +395,7 @@ def getitem(x, key) -> Var:
         z[key] = np.asarray(g, dtype=np.float64)
         return (z,)
 
-    return Var(out, (xv,), vjp)
+    return _node(out, (xv,), vjp)
 
 
 def diag_part(x) -> Var:
@@ -378,7 +411,7 @@ def diag_part(x) -> Var:
         z[ar, ar] = np.asarray(g, dtype=np.float64)
         return (z,)
 
-    return Var(val.diagonal().copy(), (xv,), vjp)
+    return _node(val.diagonal().copy(), (xv,), vjp)
 
 
 def clip_min(x, lo: float) -> Var:
@@ -390,7 +423,7 @@ def clip_min(x, lo: float) -> Var:
     def vjp(g):
         return (np.asarray(g, dtype=np.float64) * (val > lo),)
 
-    return Var(np.maximum(val, lo), (xv,), vjp)
+    return _node(np.maximum(val, lo), (xv,), vjp)
 
 
 def clamp(x, lo: float, hi: float) -> Var:
@@ -404,7 +437,7 @@ def clamp(x, lo: float, hi: float) -> Var:
     def vjp(g):
         return (np.asarray(g, dtype=np.float64),)
 
-    return Var(np.clip(xv.value, lo, hi), (xv,), vjp)
+    return _node(np.clip(xv.value, lo, hi), (xv,), vjp)
 
 
 def l2norm(x, axis=None, keepdims=False) -> Var:
@@ -422,7 +455,7 @@ def l2norm(x, axis=None, keepdims=False) -> Var:
     def vjp(g):
         return (_expand_reduced(g, val.shape, axis, keepdims) * val / safe,)
 
-    return Var(out, (xv,), vjp)
+    return _node(out, (xv,), vjp)
 
 
 @dataclass(frozen=True)
@@ -436,7 +469,7 @@ class FiniteDifferenceReport:
 def _probe(f, point: np.ndarray, i: int, h: float) -> float:
     q = point.copy()
     q[i] += h
-    val = float(f(Var(q)).value)
+    val = float(f(as_var(q)).value)
     if not np.isfinite(val):
         raise ContractError(f"objective is non-finite probing coordinate {i}")
     return val

@@ -8,8 +8,10 @@ needs them."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,9 +91,17 @@ def global_param_flags(global_kind: str | None) -> dict:
     return {"use_nl": global_kind == "NL", "use_att": global_kind == "Att"}
 
 
-def param_template(config: ModelConfig) -> tuple:
-    """Flat parameter layout: (name, shape, weight_decay) per field, in the
-    fixed order used everywhere parameters are serialized."""
+class _Layout(NamedTuple):
+    template: tuple         # (name, shape, weight_decay) per field
+    count: int
+    slices: tuple           # (name, start, stop, shape) per field
+    decay_mask: np.ndarray  # read-only
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(config: ModelConfig) -> _Layout:
+    """The flat parameter layout of `config`, built once per config, since
+    every training step cuts the vector and masks its decay."""
     h, d = config.hidden_dim, config.embed_dim
     dr, ds = config.region_input_dim, config.sentence_input_dim
     entries = [
@@ -110,21 +120,31 @@ def param_template(config: ModelConfig) -> tuple:
         entries.append(("att_proj", (d, d), True))
         entries.append(("att_vec", (d,), True))
     entries.append(("log_gamma", (), False))
-    return tuple(entries)
+    slices, masks, offset = [], [], 0
+    for name, shape, decay in entries:
+        size = int(np.prod(shape, dtype=np.int64))
+        slices.append((name, offset, offset + size, shape))
+        masks.append(np.full(size, 1.0 if decay else 0.0))
+        offset += size
+    mask = np.concatenate(masks)
+    mask.setflags(write=False)
+    return _Layout(tuple(entries), offset, tuple(slices), mask)
+
+
+def param_template(config: ModelConfig) -> tuple:
+    """Flat parameter layout: (name, shape, weight_decay) per field, in the
+    fixed order used everywhere parameters are serialized."""
+    return _layout(config).template
 
 
 def param_count(config: ModelConfig) -> int:
-    return sum(int(np.prod(shape, dtype=np.int64)) for _, shape, _ in
-               param_template(config))
+    return _layout(config).count
 
 
 def decay_mask(config: ModelConfig) -> np.ndarray:
-    """1.0 where weight decay applies, 0.0 for biases and the temperature."""
-    parts = []
-    for _, shape, decay in param_template(config):
-        size = int(np.prod(shape, dtype=np.int64))
-        parts.append(np.full(size, 1.0 if decay else 0.0))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    """1.0 where weight decay applies, 0.0 for biases and the temperature;
+    read-only, as every caller of one config shares it."""
+    return _layout(config).decay_mask
 
 
 def _glorot(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -165,24 +185,20 @@ def unflatten_params(config: ModelConfig, flat) -> ModelParams:
     the same tape, so a loss built from them differentiates with respect
     to the flat vector.
     """
-    template = param_template(config)
-    total = param_count(config)
+    layout = _layout(config)
     is_var = isinstance(flat, Var)
     length = flat.value.shape[0] if is_var else np.asarray(flat).shape[0]
-    if length != total:
+    if length != layout.count:
         raise ContractError(
-            f"flat parameter vector has length {length}, expected {total}"
+            f"flat parameter vector has length {length}, expected {layout.count}"
         )
     fields = {}
-    offset = 0
-    for name, shape, _ in template:
-        size = int(np.prod(shape, dtype=np.int64))
-        chunk = flat[offset:offset + size]
+    for name, start, stop, shape in layout.slices:
+        chunk = flat[start:stop]
         if is_var:
             fields[name] = ad.reshape(chunk, shape)
         else:
             fields[name] = np.asarray(chunk, dtype=np.float64).reshape(shape)
-        offset += size
     region = EncoderParams(W1=fields["region.W1"], b1=fields["region.b1"],
                            W2=fields["region.W2"], b2=fields["region.b2"])
     sentence = EncoderParams(W1=fields["sentence.W1"], b1=fields["sentence.b1"],

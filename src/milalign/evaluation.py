@@ -65,6 +65,9 @@ IOU_THRESHOLDS = np.arange(-20, 21) * 5 / 100.0  # -1.00 .. 1.00 in 0.05 steps
 # Query rows `rank_of_match` and `cosine_match_ranks` compare at a time;
 # their temporaries are (RANK_BLOCK_ROWS, q) rather than (q, q).
 RANK_BLOCK_ROWS = 256
+# Cases `grounding_score_maps` scores at a time; its gathered regions are
+# (GROUNDING_BLOCK_CASES, N, D) rather than (cases, N, D).
+GROUNDING_BLOCK_CASES = 512
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +436,13 @@ def grounding_score_maps(params: ModelParams, cases) -> np.ndarray:
     bags, rows, sentences = _case_inputs(cases)
     feats = encode_regions(params, bags)
     regions = unit_rows(feats.reshape(-1, feats.shape[2])).value
+    regions = regions.reshape(feats.shape)
     unit_sentences = unit_rows(encode_sentences(params, sentences)).value
-    maps = np.einsum("cnd,cd->cn", regions.reshape(feats.shape)[rows],
-                     unit_sentences)
+    maps = np.empty((len(rows), feats.shape[1]))
+    for start in range(0, len(rows), GROUNDING_BLOCK_CASES):
+        block = slice(start, start + GROUNDING_BLOCK_CASES)
+        np.einsum("cnd,cd->cn", regions[rows[block]], unit_sentences[block],
+                  out=maps[block])
     return np.clip(maps, -1.0, 1.0, out=maps)
 
 

@@ -59,10 +59,6 @@ def _split(leaf: Var, sizes):
     return parts
 
 
-def as_constant(array) -> Var:
-    return Var(np.asarray(array, dtype=np.float64))
-
-
 def _case_encode(rng):
     d_in, hidden, d_out, count = 3, 4, 3, 2
     sizes = [hidden * d_in, hidden, d_out * hidden, d_out, count * d_in]
@@ -78,7 +74,7 @@ def _case_encode(rng):
             b2=b2,
         )
         out = encode_bag(params, ad.reshape(obs, (count, d_in)))
-        return ad.vsum(ad.mul(out, as_constant(mix)), axis=None)
+        return ad.vsum(ad.mul(out, mix), axis=None)
 
     return f, point
 
@@ -123,7 +119,7 @@ def _local_case(kind, **kwargs):
         def f(leaf):
             per_sentence = aggregate_local_axis(spec, ad.reshape(leaf, (n, m)),
                                                 axis=0)
-            return ad.matmul(per_sentence, as_constant(mix))
+            return ad.matmul(per_sentence, mix)
 
         return f, point
 
@@ -168,8 +164,7 @@ def _global_case(kind):
         else:
             extra = np.zeros(0)
         point = np.concatenate([base, extra])
-        mix = as_constant(rng.normal(0.0, 1.0,
-                                     (_GLOBAL_IMAGES, _GLOBAL_DOCUMENTS)))
+        mix = rng.normal(0.0, 1.0, (_GLOBAL_IMAGES, _GLOBAL_DOCUMENTS))
 
         def f(leaf):
             bags, sentences, params = _split(leaf, [rows * dim, cols * dim,

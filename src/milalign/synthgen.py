@@ -317,12 +317,22 @@ def write_corpus(path, corpus: Corpus, config_fingerprint: str = "") -> None:
 
 
 def read_corpus(path) -> Corpus:
+    """The corpus `write_corpus` wrote, read one line at a time; a problem
+    is a ContractError naming the path and the line number."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ContractError(f"{path}: missing corpus header line")
+        first = fh.readline()
+        if not first:
+            raise ContractError(f"{path}: missing corpus header line")
+        spec, bank = _read_header(path, first.removesuffix("\n"))
+        documents = [_read_document(path, lineno, line.removesuffix("\n"), spec)
+                     for lineno, line in enumerate(fh, start=2)]
+    return Corpus(spec=spec, bank=bank, documents=documents)
+
+
+def _read_header(path, line: str):
+    """(spec, concept bank) of a corpus header line."""
     try:
-        header = jsonio.loads(lines[0])
+        header = jsonio.loads(line)
     except ValueError as exc:
         raise ContractError(f"{path}: line 1: malformed header: {exc}") from exc
     if not isinstance(header, dict) or header.get("kind") != "corpus-header":
@@ -347,30 +357,32 @@ def read_corpus(path) -> Corpus:
             raw_bank, "seed", "concept_bank"))
     except ContractError as exc:
         raise ContractError(f"{path}: line 1: {exc}") from exc
-    documents = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            raise ContractError(f"{path}: line {lineno}: blank line in corpus")
-        try:
-            doc = _doc_from_dict(jsonio.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ContractError(
-                f"{path}: line {lineno}: malformed document: {exc}"
-            ) from exc
-        if not _fits_spec(doc, spec):
-            raise ContractError(
-                f"{path}: line {lineno}: image_id {doc.image_id}: regions "
-                f"{doc.region_observations.shape} and sentences "
-                f"{doc.sentence_observations.shape} do not fit the header "
-                f"spec: expected regions ({spec.regions_per_image}, "
-                f"{spec.region_dim}) and sentences (k, {spec.sentence_dim}) "
-                f"with 1 <= k <= {spec.sentences_per_doc}")
-        problem = _list_problem(doc, spec)
-        if problem is not None:
-            raise ContractError(
-                f"{path}: line {lineno}: image_id {doc.image_id}: {problem}")
-        documents.append(doc)
-    return Corpus(spec=spec, bank=bank, documents=documents)
+    return spec, bank
+
+
+def _read_document(path, lineno: int, line: str, spec: CorpusSpec):
+    """The document on one corpus line, checked against the header spec."""
+    if not line.strip():
+        raise ContractError(f"{path}: line {lineno}: blank line in corpus")
+    try:
+        doc = _doc_from_dict(jsonio.loads(line))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ContractError(
+            f"{path}: line {lineno}: malformed document: {exc}"
+        ) from exc
+    if not _fits_spec(doc, spec):
+        raise ContractError(
+            f"{path}: line {lineno}: image_id {doc.image_id}: regions "
+            f"{doc.region_observations.shape} and sentences "
+            f"{doc.sentence_observations.shape} do not fit the header "
+            f"spec: expected regions ({spec.regions_per_image}, "
+            f"{spec.region_dim}) and sentences (k, {spec.sentence_dim}) "
+            f"with 1 <= k <= {spec.sentences_per_doc}")
+    problem = _list_problem(doc, spec)
+    if problem is not None:
+        raise ContractError(
+            f"{path}: line {lineno}: image_id {doc.image_id}: {problem}")
+    return doc
 
 
 def write_prompts(path, bank: ConceptBank, config_fingerprint: str = "") -> None:

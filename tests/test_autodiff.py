@@ -285,3 +285,46 @@ def test_finite_difference_check_flags_wrong_gradient():
     report = finite_difference_check(f, np.asarray([1.0, 2.0]))
     assert not report.passed
     assert report.max_relative_error > 1e-2
+
+
+def test_ops_on_plain_arrays_record_nothing():
+    rng = np.random.default_rng(21)
+    a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+    outs = [ad.matmul(a, b), ad.add(a, 1.0), ad.mul(a, a), ad.tanh(a),
+            ad.softmax(a, 2.0, axis=1), ad.vsum(ad.exp(a), axis=0),
+            ad.matmul(a[None], b[None])]
+    for out in outs:
+        assert out._parents == () and out._vjp is None
+        assert not out.requires_grad
+    assert np.array_equal(outs[0].value, a @ b)
+
+
+def test_constant_operand_gets_no_cotangent():
+    rng = np.random.default_rng(22)
+    for a_shape, b_shape in (((3, 4), (4, 2)), ((4,), (4, 2)), ((3, 4), (4,)),
+                             ((4,), (4,)), ((2, 3, 4), (2, 4, 5))):
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        for const_a in (True, False):
+            left = a if const_a else Var(a)
+            right = Var(b) if const_a else b
+            out = ad.matmul(left, right)
+            ga, gb = out._vjp(np.ones(out.value.shape))
+            assert (ga is None) == const_a and (gb is None) != const_a
+    y = Var(np.ones(3))
+    ga, gb = ad.mul(np.full(3, 2.0), y)._vjp(np.ones(3))
+    assert ga is None and np.array_equal(gb, np.full(3, 2.0))
+
+
+def test_backward_keeps_only_root_and_leaf_gradients():
+    rng = np.random.default_rng(23)
+    x = Var(rng.standard_normal(5))
+    scale = np.asarray(rng.standard_normal(5))
+    h = ad.tanh(x)
+    const = ad.as_var(scale)
+    y = ad.vsum(ad.add(ad.mul(h, h), ad.mul(const, x)))
+    y.backward()
+    assert h.grad is None
+    assert const.grad is None
+    assert y.grad == 1.0
+    t = np.tanh(x.value)
+    assert np.array_equal(x.grad, (t + t) * (1.0 - t * t) + scale)

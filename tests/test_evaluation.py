@@ -577,6 +577,17 @@ def test_export_score_maps(tmp_path):
                        grounding_score_maps(params, [cases[0]])[0], atol=1e-15)
 
 
+def test_grounding_maps_do_not_depend_on_the_block_size(monkeypatch):
+    corpus = tiny_corpus(documents=40)
+    _, params = tiny_params(seed=4)
+    cases = grounding_cases(corpus.documents)
+    whole = grounding_score_maps(params, cases)
+    assert len(cases) % 7  # so blocks of 7 leave a short last block
+    for block in (1, 7):
+        monkeypatch.setattr(evaluation, "GROUNDING_BLOCK_CASES", block)
+        assert np.array_equal(grounding_score_maps(params, cases), whole)
+
+
 # ---------------------------------------------------------------------------
 # retrieval
 

@@ -1,10 +1,16 @@
-"""The package's import path: numpy is its only third-party import, and
-the README's Layout block names every module of the package."""
+"""The package's import path: numpy is its only third-party import, the
+heap policy applied at import, and the README's Layout block names every
+module of the package."""
 
+import ctypes
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import milalign
 
@@ -38,3 +44,32 @@ def test_readme_layout_lists_every_module():
                      if p.name != "__init__.py")
     assert sorted(listed) == modules
     assert len(listed) == len(set(listed))
+
+
+def test_heap_policy_does_nothing_without_mallopt(monkeypatch):
+    class NoMallopt:  # a loaded library lacking the symbol
+        def __getattr__(self, name):
+            raise AttributeError(name)
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: NoMallopt())
+    importlib.reload(milalign)
+    milalign._fix_heap_policy()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the heap policy is set through glibc's mallopt")
+def test_heap_policy_sets_two_mallopt_parameters(monkeypatch):
+    real = ctypes.CDLL(None).mallopt
+    real.argtypes = (ctypes.c_int, ctypes.c_int)
+    real.restype = ctypes.c_int
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value, real(param, value)))
+
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: SimpleNamespace(mallopt=mallopt))
+    milalign._fix_heap_policy()
+    # M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, each accepted (mallopt gives 1)
+    assert calls == [(-1, 1 << 30, 1), (-3, 32 << 20, 1)]

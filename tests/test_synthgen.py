@@ -3,6 +3,7 @@ cross-modal noise coupling, and the line-oriented disk format."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,3 +420,45 @@ def test_sentence_dim_larger_than_region_dim():
     assert np.max(np.abs(rot.T @ rot - np.eye(6))) < 1e-12
     for doc in corpus.documents:
         assert doc.sentence_observations.shape[1] == 8
+
+
+def test_read_corpus_names_the_line_of_a_blank_line(tmp_path):
+    corpus = generate_corpus(tiny_spec(documents=4))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    for blank in ("", "   "):
+        path.write_text("\n".join(lines[:3] + [blank] + lines[3:]) + "\n")
+        with pytest.raises(ContractError,
+                           match="line 4: blank line in corpus"):
+            read_corpus(path)
+
+
+def test_crlf_corpus_reads_back_the_same_arrays(tmp_path):
+    corpus = generate_corpus(tiny_spec(documents=6))
+    lf = tmp_path / "lf.jsonl"
+    write_corpus(lf, corpus, config_fingerprint="abcd")
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    back = read_corpus(crlf)
+    for da, db in zip(corpus.documents, back.documents, strict=True):
+        assert np.array_equal(da.region_observations, db.region_observations)
+        assert np.array_equal(da.sentence_observations,
+                              db.sentence_observations)
+    again = tmp_path / "again.jsonl"
+    write_corpus(again, back, config_fingerprint="abcd")
+    assert again.read_bytes() == lf.read_bytes()
+
+
+def test_read_corpus_holds_less_than_the_file(tmp_path):
+    # the documents are parsed as the file streams past, so the reader never
+    # holds the file's text, let alone a second copy split into lines
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, generate_corpus(CorpusSpec(documents=600)))
+    tracemalloc.start()
+    try:
+        read_corpus(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size

@@ -2,13 +2,14 @@
 determinism, checkpointing, and failure reporting."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from milalign.autodiff import ContractError, _toposort
+from milalign.autodiff import ContractError, Var, _toposort
 from milalign.aggregators import (
     GlobalAggregatorSpec,
     LocalAggregatorSpec,
@@ -296,9 +297,43 @@ def test_tape_size_does_not_depend_on_batch_size():
                 local_agg=entry.local_agg, global_agg=entry.global_agg,
                 batch_size=size)
             batch = sample_batch(corpus, config, np.random.default_rng(size))
-            flat = init_model(config.model, config.gamma_init, 0)
-            counts.append(len(_toposort(batch_loss(config, flat, batch))))
+            leaf = Var(init_model(config.model, config.gamma_init, 0))
+            counts.append(len(_toposort(batch_loss(config, leaf, batch))))
         assert counts[0] == counts[1], (entry.name, counts)
+
+
+# sha256 prefixes of leaf.grad's bytes for each default_grid() row on one
+# fixed batch: what the tape records or keeps may change, these bits may not
+GRADIENT_DIGESTS = {
+    "Max": "16f575f85e98de98",
+    "Avg": "b25732fcd751ea5b",
+    "LSE": "9db1e3760db9f54b",
+    "NOR": "7cae1e52400e8035",
+    "NAND": "8ffc768961f392f0",
+    "g-Avg": "b5318945ddfceb7d",
+    "g-Att": "fbbe7fa8d6a25e8b",
+    "g-NL": "36a7fd95f0f7091c",
+    "LSE+Avg": "2d10bb0500e77358",
+    "LSE+Att": "14d4ae92aa5992b7",
+    "LSE+NL": "eb2ce374f0f5b5d3",
+}
+
+
+def test_batch_loss_gradient_bits_are_pinned():
+    corpus = tiny_corpus()
+    got = {}
+    for entry in default_grid():
+        kind = entry.global_agg.kind if entry.global_agg else None
+        config = tiny_config(
+            model=dataclasses.replace(tiny_config().model,
+                                      use_nl=kind == "NL",
+                                      use_att=kind == "Att"),
+            local_agg=entry.local_agg, global_agg=entry.global_agg)
+        batch = sample_batch(corpus, config, np.random.default_rng(21))
+        leaf = Var(init_model(config.model, config.gamma_init, 21))
+        batch_loss(config, leaf, batch).backward()
+        got[entry.name] = hashlib.sha256(leaf.grad.tobytes()).hexdigest()[:16]
+    assert got == GRADIENT_DIGESTS
 
 
 def test_initial_loss_near_log_batch_size():
