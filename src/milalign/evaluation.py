@@ -65,8 +65,9 @@ IOU_THRESHOLDS = np.arange(-20, 21) * 5 / 100.0  # -1.00 .. 1.00 in 0.05 steps
 # Query rows `rank_of_match` and `cosine_match_ranks` compare at a time;
 # their temporaries are (RANK_BLOCK_ROWS, q) rather than (q, q).
 RANK_BLOCK_ROWS = 256
-# Cases `grounding_score_maps` scores at a time; its gathered regions are
-# (GROUNDING_BLOCK_CASES, N, D) rather than (cases, N, D).
+# Cases `grounding_score_maps` scores and `retrieval_features` sums at a
+# time; their gathered regions are (GROUNDING_BLOCK_CASES, N, D) rather than
+# (cases, N, D).
 GROUNDING_BLOCK_CASES = 512
 
 
@@ -605,7 +606,12 @@ def retrieval_features(params: ModelParams, cases):
     bags, rows, sentences = _case_inputs(cases)
     masks = box_masks(bags.shape[1], [case.box for case in cases])
     regions = encode_regions(params, bags)
-    box_sums = np.einsum("cn,cnd->cd", masks.astype(np.float64), regions[rows])
+    weights = masks.astype(np.float64)
+    box_sums = np.empty((len(rows), regions.shape[2]))
+    for start in range(0, len(rows), GROUNDING_BLOCK_CASES):
+        block = slice(start, start + GROUNDING_BLOCK_CASES)
+        np.einsum("cn,cnd->cd", weights[block], regions[rows[block]],
+                  out=box_sums[block])
     boxes = box_sums / np.count_nonzero(masks, axis=1)[:, None]
     return boxes, encode_sentences(params, sentences)
 

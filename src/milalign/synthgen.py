@@ -16,9 +16,15 @@ sentence space the directions outside the rotated region subspace carry
 the independent share of the noise only.
 
 On disk a corpus is one JSON line per document after a header line. The
-header's spec is read by `spec_from_dict`, the same reader the config's
-`corpus` section goes through, and every id in a document must be a
-JSON integer; anything else is refused naming the line and the field.
+header is canonical JSON text (`jsonio`); its spec is read by
+`spec_from_dict`, the same reader the config's `corpus` section goes
+through. A document's `regions` and `sentences` are lists of hex rows:
+each row is the lowercase hex of its values' little-endian float64 bytes,
+16 digits per value, so a bag reads back bit for bit with one
+`bytes.fromhex` and one `np.frombuffer` call. Every id in a document
+must be a JSON integer; anything else, and a row that is not a string of
+the bag's width in hex digits or holds a non-finite value, is refused
+naming the line and the field.
 """
 
 from __future__ import annotations
@@ -32,7 +38,10 @@ import numpy as np
 from .autodiff import ContractError
 from . import jsonio
 
-FORMAT_VERSION = 1
+# Each file kind has its own version; a version-2 corpus holds its document
+# bags as hex rows, and the reader accepts no other version.
+CORPUS_FORMAT_VERSION = 2
+PROMPTS_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -219,24 +228,99 @@ def prompt_bank(bank: ConceptBank) -> dict:
     return {c: bank.sentence_prototypes[c].copy() for c in range(bank.concepts)}
 
 
+# A bag row's values as the file stores them, whatever the machine's order.
+_FILE_FLOAT = np.dtype("<f8")
+
+
+def _hex_rows(bag: np.ndarray) -> list:
+    """The rows of a (k, dim) float64 bag, each as the lowercase hex of its
+    values' little-endian bytes, 16 digits per value."""
+    if not np.isfinite(bag).all():
+        raise ContractError("cannot serialize non-finite float")
+    text = bag.astype(_FILE_FLOAT, copy=False).tobytes().hex()
+    width = 16 * bag.shape[1]
+    return [text[start:start + width] for start in range(0, len(text), width)]
+
+
+class _BagError(ContractError):
+    """A document bag whose hex rows do not decode."""
+
+
+def _row_problem(row, width: int) -> str | None:
+    """What keeps one hex row from holding `width` // 16 values, or None."""
+    if type(row) is not str:
+        return "is not a string"
+    if len(row) != width:
+        return f"has {len(row)} characters, not 16 × {width // 16}"
+    try:
+        # fromhex skips whitespace, so a row with some decodes short
+        if 2 * len(bytes.fromhex(row)) == width:
+            return None
+    except ValueError:
+        pass
+    return "has a character that is not a hex digit"
+
+
+def _bag_from_hex(rows, name: str) -> np.ndarray:
+    """The (k, dim) float64 bag `_hex_rows` wrote; its first row sets dim.
+    An empty list reads as shape (0,). A row that is not a string of
+    16 × dim hex digits, or that holds a non-finite value, is a _BagError
+    naming the field and the row."""
+    if not isinstance(rows, list):
+        raise _BagError(f"{name} is not a list of hex rows")
+    if not rows:
+        return np.empty(0)
+    if type(rows[0]) is not str:
+        raise _BagError(f"{name}[0] is not a string")
+    width = len(rows[0])
+    if not width or width % 16:
+        raise _BagError(f"{name}[0] has {width} characters, not 16 per value")
+    try:
+        text = "".join(rows)
+        raw = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        raw = None
+    if raw is None or 2 * len(raw) != len(text) \
+            or set(map(len, rows)) != {width}:
+        for index, row in enumerate(rows):
+            problem = _row_problem(row, width)
+            if problem is not None:
+                raise _BagError(f"{name}[{index}] {problem}")
+    # a native copy that owns its data: writable, and holding no view of
+    # the decoded bytes
+    bag = np.frombuffer(raw, dtype=_FILE_FLOAT).reshape(len(rows), -1) \
+        .astype(np.float64)
+    if not np.isfinite(bag).all():
+        index = int(np.argmin(np.isfinite(bag).all(axis=1)))
+        raise _BagError(f"{name}[{index}] holds a non-finite value")
+    return bag
+
+
 def _doc_to_dict(doc: SyntheticDocument) -> dict:
     return {
         "image_id": doc.image_id,
-        "regions": doc.region_observations,
+        "regions": _hex_rows(doc.region_observations),
         "region_concepts": doc.region_concepts,
-        "sentences": doc.sentence_observations,
+        "sentences": _hex_rows(doc.sentence_observations),
         "sentence_concepts": doc.sentence_concepts,
         "boxes": [list(b) for b in doc.boxes],
     }
 
 
 def _doc_from_dict(d: dict) -> SyntheticDocument:
-    """A parsed document line; _list_problem checks its ids."""
+    """A parsed document line; a bag that does not decode is a _BagError
+    naming the image_id, and _list_problem checks the ids."""
+    image_id = jsonio.require_int(d, "image_id")
+    try:
+        regions = _bag_from_hex(d["regions"], "regions")
+        sentences = _bag_from_hex(d["sentences"], "sentences")
+    except _BagError as exc:
+        raise _BagError(f"image_id {image_id}: {exc}") from None
     return SyntheticDocument(
-        image_id=jsonio.require_int(d, "image_id"),
-        region_observations=np.asarray(d["regions"], dtype=np.float64),
+        image_id=image_id,
+        region_observations=regions,
         region_concepts=list(d["region_concepts"]),
-        sentence_observations=np.asarray(d["sentences"], dtype=np.float64),
+        sentence_observations=sentences,
         sentence_concepts=list(d["sentence_concepts"]),
         boxes=[tuple(b) for b in d["boxes"]],
     )
@@ -296,10 +380,12 @@ def _list_problem(doc: SyntheticDocument, spec: CorpusSpec) -> str | None:
 
 
 def write_corpus(path, corpus: Corpus, config_fingerprint: str = "") -> None:
-    """One JSON object per line: a header, then one line per document."""
+    """One JSON object per line: a header of canonical text, then one line
+    per document with its bags as hex rows (`_hex_rows`). A non-finite
+    value is refused."""
     header = {
         "kind": "corpus-header",
-        "format_version": FORMAT_VERSION,
+        "format_version": CORPUS_FORMAT_VERSION,
         "spec": corpus.spec.to_dict(),
         "seed": corpus.spec.seed,
         "config_fingerprint": config_fingerprint,
@@ -317,8 +403,10 @@ def write_corpus(path, corpus: Corpus, config_fingerprint: str = "") -> None:
 
 
 def read_corpus(path) -> Corpus:
-    """The corpus `write_corpus` wrote, read one line at a time; a problem
-    is a ContractError naming the path and the line number."""
+    """The corpus `write_corpus` wrote, read one line at a time, every bag
+    bit for bit. A header of another format_version is refused, naming
+    the path; any other problem is a ContractError naming the path and the
+    line number, and for a bag row the image_id and the row."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
@@ -337,7 +425,7 @@ def _read_header(path, line: str):
         raise ContractError(f"{path}: line 1: malformed header: {exc}") from exc
     if not isinstance(header, dict) or header.get("kind") != "corpus-header":
         raise ContractError(f"{path}: line 1 is not a corpus header")
-    if header.get("format_version") != FORMAT_VERSION:
+    if header.get("format_version") != CORPUS_FORMAT_VERSION:
         raise ContractError(f"{path}: unsupported corpus format_version "
                             f"{header.get('format_version')!r}")
     try:
@@ -366,6 +454,8 @@ def _read_document(path, lineno: int, line: str, spec: CorpusSpec):
         raise ContractError(f"{path}: line {lineno}: blank line in corpus")
     try:
         doc = _doc_from_dict(jsonio.loads(line))
+    except _BagError as exc:
+        raise ContractError(f"{path}: line {lineno}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise ContractError(
             f"{path}: line {lineno}: malformed document: {exc}"
@@ -388,7 +478,7 @@ def _read_document(path, lineno: int, line: str, spec: CorpusSpec):
 def write_prompts(path, bank: ConceptBank, config_fingerprint: str = "") -> None:
     payload = {
         "kind": "prompt-bank",
-        "format_version": FORMAT_VERSION,
+        "format_version": PROMPTS_FORMAT_VERSION,
         "config_fingerprint": config_fingerprint,
         "prompts": {str(c): v for c, v in prompt_bank(bank).items()},
     }

@@ -15,11 +15,13 @@ must reproduce bit for bit.
 `canonical_json` formats every value one at a time and `generate_corpus`
 draws and builds one region at a time: the element-by-element forms that
 `jsonio.dumps_canonical` and `synthgen.generate_corpus` must reproduce
-byte for byte.
+byte for byte. `hex_rows` packs one value at a time: the text a corpus
+file must hold for a document bag.
 """
 
 import json
 import math
+import struct
 
 import numpy as np
 
@@ -242,6 +244,13 @@ def canonical_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(item) for item in obj) + "]"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def hex_rows(bag):
+    """One string per row of a 2-D bag: each value's little-endian float64
+    bytes in lowercase hex, packed one value at a time."""
+    return ["".join(struct.pack("<d", float(x)).hex() for x in row)
+            for row in bag]
 
 
 def _orthonormal(raw):

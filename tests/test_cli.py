@@ -4,6 +4,8 @@ contract: 0 success, 1 validation/usage, 2 runtime failure."""
 import copy
 import dataclasses
 import json
+import math
+import struct
 from types import SimpleNamespace
 
 import pytest
@@ -593,3 +595,42 @@ def test_corpus_header_field_of_wrong_type_exits_one(pipeline, tmp_path,
     err = capsys.readouterr().err
     assert message in err
     assert "line 1" in err
+
+
+def _command_args(command, pipeline, corpus, out):
+    args = [command, "--config", str(pipeline.config_path),
+            "--corpus", str(corpus), "--out", str(out)]
+    if command == "eval":
+        args += ["--checkpoint", str(pipeline.checkpoint_path)]
+    return args
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_version_1_corpus_exits_one(pipeline, tmp_path, capsys, command):
+    # a version-1 file holds its bags as numbers; gen-data writes version 2
+    lines = pipeline.corpus_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["format_version"] = 1
+    old = tmp_path / "old.jsonl"
+    old.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(_command_args(command, pipeline, old, out)) == 1
+    assert f"{old}: unsupported corpus format_version 1" in \
+        capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_non_finite_corpus_value_exits_one(pipeline, tmp_path, capsys,
+                                           command):
+    def nan_in_second_region(doc):
+        row = doc["regions"][1]
+        doc["regions"][1] = row[:-16] + struct.pack("<d", math.nan).hex()
+
+    edited, image_id = _every_document_edited(pipeline, tmp_path,
+                                              nan_in_second_region)
+    out = tmp_path / "out"
+    assert cli.main(_command_args(command, pipeline, edited, out)) == 1
+    assert f"line 2: image_id {image_id}: regions[1] holds a non-finite " \
+        f"value" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())

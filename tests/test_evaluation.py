@@ -701,6 +701,19 @@ def test_retrieval_box_feature_is_box_mean():
     assert np.allclose(box_feats[2], want, atol=1e-12)
 
 
+def test_retrieval_features_do_not_depend_on_the_block_size(monkeypatch):
+    corpus = tiny_corpus(documents=40)
+    _, params = tiny_params(seed=4)
+    cases = retrieval_cases(corpus.documents)
+    boxes, sentences = retrieval_features(params, cases)
+    assert len(cases) % 7  # so blocks of 7 leave a short last block
+    for block in (1, 7):
+        monkeypatch.setattr(evaluation, "GROUNDING_BLOCK_CASES", block)
+        got_boxes, got_sentences = retrieval_features(params, cases)
+        assert np.array_equal(got_boxes, boxes)
+        assert np.array_equal(got_sentences, sentences)
+
+
 def test_retrieval_eval_on_clean_corpus_ranks_matches_high():
     corpus = tiny_corpus(documents=120, noise_sigma=0.02)
     _, params = tiny_params(seed=2)

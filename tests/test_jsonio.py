@@ -169,13 +169,15 @@ def test_other_dtypes_encode_as_before(arr):
 
 
 # SHA-256 of write_corpus + write_prompts output (config fingerprint "abc")
-# for CorpusSpec(documents=50, seed=...), recorded with the value-by-value
-# encoder and the per-region generator; any drift in the file format or the
-# generated values changes them
+# for CorpusSpec(documents=50, seed=...). The prompt files were recorded with
+# the value-by-value encoder and the per-region generator; the corpus files
+# with format version 2's hex rows, once test_synthgen's golden values had
+# pinned the generated numbers. Any drift in a file format or the generated
+# values changes them
 GOLDEN_CORPUS_FILES = {
-    0: ("2c8b8158223bcc7da8e5caf01986682cb8f54c55d263cdcdf07bf06bb26be94c",
+    0: ("4e0f1d92e1ca15b0def6bc691c40c738e1ac43c06f9ff018c8cf9f762630d8d3",
         "a747ab9d31cb0352caac2266cdcddc0551664fc271432b59c1e30da03a535e95"),
-    1: ("64a4f2ac9237ee4ddccfa0ed974499458443eb54013e0b0af7c1a729a8563944",
+    1: ("903bf0794898a126cd30616f56f693f154b7b7df8a712876f81fcd2c8d5c6aa8",
         "06cf4a00dd78fd7d07046dd7a02bf535a1a5987af562c7f0c1bf5c0cd74d7f20"),
 }
 

@@ -2,7 +2,11 @@
 cross-modal noise coupling, and the line-oriented disk format."""
 
 import dataclasses
+import hashlib
 import json
+import math
+import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -122,6 +126,31 @@ def test_generation_matches_the_per_region_reference(name):
         assert doc.region_concepts == want["region_concepts"]
         assert doc.sentence_concepts == want["sentence_concepts"]
         assert doc.boxes == want["boxes"]
+
+
+# SHA-256 of the generated values themselves, so a change of the file format
+# cannot hide a change of the numbers it stores
+GOLDEN_CORPUS_VALUES = {
+    0: "5fb94e806a2c0260e155866cf3b833a534680aa847a446c8e52b20018fa3e882",
+    1: "5f23d97c3f334e6a8c59481982e81767aa902776f24c1146ab63242c223cc51b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_CORPUS_VALUES))
+def test_generated_values_keep_their_golden_bits(seed):
+    corpus = generate_corpus(CorpusSpec(documents=50, seed=seed))
+    digest = hashlib.sha256()
+    bank = corpus.bank
+    for array in (bank.region_prototypes, bank.sentence_prototypes,
+                  bank.modality_rotation):
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    for doc in corpus.documents:
+        digest.update(doc.region_observations.tobytes())
+        digest.update(doc.sentence_observations.tobytes())
+        digest.update(json.dumps([doc.image_id, doc.region_concepts,
+                                  doc.sentence_concepts,
+                                  [list(b) for b in doc.boxes]]).encode())
+    assert digest.hexdigest() == GOLDEN_CORPUS_VALUES[seed]
 
 
 def test_prototypes_are_orthonormal_and_rotated():
@@ -284,7 +313,8 @@ def _edit_document(doc, edit):
         doc["regions"] = doc["regions"][:-1]
         return "(9, 6)"
     if edit == "wrong width":
-        doc["regions"] = [row + [0.0] for row in doc["regions"]]
+        # one more value per row: 16 more hex digits
+        doc["regions"] = [row + "0" * 16 for row in doc["regions"]]
         return "(10, 7)"
     if edit == "too many sentences":
         doc["sentences"] = [doc["sentences"][0]] * 3
@@ -312,6 +342,139 @@ def test_read_corpus_refuses_bags_that_do_not_fit_the_spec(tmp_path, edit):
     assert found in message
     assert "expected regions (10, 6) and sentences (k, 6) " \
         "with 1 <= k <= 2" in message
+
+
+def _special_values(rng, shape):
+    """A random array of `shape` whose first values are the float64 edge
+    cases, the rest random finite bit patterns and gaussians."""
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+             sys.float_info.min, sys.float_info.max, -sys.float_info.max,
+             1.0, -1.0]
+    bits = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64)
+    values = bits.view(np.float64).copy()
+    values[~np.isfinite(values)] = 0.5
+    values.flat[:len(edges)] = edges
+    values.flat[-5:] = rng.standard_normal(5)
+    return values
+
+
+def test_bags_are_written_as_reference_hex_rows_and_read_back_bit_for_bit(
+        tmp_path):
+    rng = np.random.default_rng(11)
+    corpus = generate_corpus(tiny_spec(documents=8))
+    for doc in corpus.documents:
+        doc.region_observations = _special_values(
+            rng, doc.region_observations.shape)
+        doc.sentence_observations = _special_values(
+            rng, doc.sentence_observations.shape)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, corpus)
+    lines = path.read_text().splitlines()[1:]
+    back = read_corpus(path)
+    for doc, line, read in zip(corpus.documents, lines, back.documents,
+                               strict=True):
+        written = json.loads(line)
+        for field, bag, got in (
+                ("regions", doc.region_observations, read.region_observations),
+                ("sentences", doc.sentence_observations,
+                 read.sentence_observations)):
+            assert written[field] == oracles.hex_rows(bag)
+            assert got.dtype == np.float64 and got.shape == bag.shape
+            assert got.tobytes() == bag.tobytes()
+    # capital digits read as the same bytes
+    upper = tmp_path / "upper.jsonl"
+    docs = [json.loads(line) for line in lines]
+    for doc in docs:
+        doc["regions"] = [row.upper() for row in doc["regions"]]
+    upper.write_text("\n".join([path.read_text().splitlines()[0]]
+                               + [json.dumps(doc) for doc in docs]) + "\n")
+    for doc, read in zip(corpus.documents, read_corpus(upper).documents,
+                         strict=True):
+        assert read.region_observations.tobytes() == \
+            doc.region_observations.tobytes()
+
+
+def _hex(*values):
+    return struct.pack(f"<{len(values)}d", *values).hex()
+
+
+def _set_row(field, index, row):
+    def edit(doc):
+        doc[field][index] = row(doc[field][index])
+    return edit
+
+
+@pytest.mark.parametrize("edit, found", [
+    (_set_row("regions", 3, lambda r: _hex(math.nan) + r[16:]),
+     "regions[3] holds a non-finite value"),
+    (_set_row("regions", 9, lambda r: r[:-16] + _hex(math.inf)),
+     "regions[9] holds a non-finite value"),
+    (_set_row("sentences", 1, lambda r: r[:16] + _hex(-math.inf) + r[32:]),
+     "sentences[1] holds a non-finite value"),
+    (_set_row("regions", 3, lambda r: [0.0] * 6),
+     "regions[3] is not a string"),
+    (_set_row("regions", 0, lambda r: None),
+     "regions[0] is not a string"),
+    (_set_row("sentences", 1, lambda r: r[:-2]),
+     "sentences[1] has 94 characters, not 16 × 6"),
+    (_set_row("regions", 3, lambda r: r + "00"),
+     "regions[3] has 98 characters, not 16 × 6"),
+    (_set_row("regions", 0, lambda r: r[:-2]),
+     "regions[0] has 94 characters, not 16 per value"),
+    (_set_row("regions", 0, lambda r: ""),
+     "regions[0] has 0 characters, not 16 per value"),
+    (_set_row("regions", 3, lambda r: "g" + r[1:]),
+     "regions[3] has a character that is not a hex digit"),
+    (_set_row("regions", 3, lambda r: r[:40] + "é" + r[41:]),
+     "regions[3] has a character that is not a hex digit"),
+    (_set_row("sentences", 0, lambda r: "  " + r[2:]),
+     "sentences[0] has a character that is not a hex digit"),
+    (_set_row("regions", 5, lambda r: r[:-2] + "\n0"),
+     "regions[5] has a character that is not a hex digit"),
+    (lambda d: d.update(regions="00" * 8),
+     "regions is not a list of hex rows"),
+], ids=["nan", "inf", "minus inf", "row of numbers", "null first row",
+        "short row", "long row", "short first row", "empty first row",
+        "non-hex digit", "non-ascii character", "spaces", "newline",
+        "bag not a list"])
+def test_read_corpus_refuses_rows_that_are_not_finite_hex(tmp_path, edit,
+                                                          found):
+    corpus = generate_corpus(tiny_spec(documents=6))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines[1:], start=2)
+                  if len(json.loads(line)["sentences"]) == 2)
+    doc = json.loads(lines[lineno - 1])
+    edit(doc)
+    lines[lineno - 1] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError) as err:
+        read_corpus(path)
+    assert str(err.value) == \
+        f"{path}: line {lineno}: image_id {doc['image_id']}: {found}"
+
+
+def test_write_corpus_refuses_a_non_finite_value(tmp_path):
+    corpus = generate_corpus(tiny_spec(documents=3))
+    corpus.documents[1].sentence_observations[0, 2] = math.nan
+    with pytest.raises(ContractError, match="non-finite"):
+        write_corpus(tmp_path / "corpus.jsonl", corpus)
+
+
+def test_read_corpus_refuses_format_version_1(tmp_path):
+    corpus = generate_corpus(tiny_spec(documents=3))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["format_version"] == 2
+    header["format_version"] = 1
+    path.write_text("\n".join([jsonio.dumps_canonical(header)] + lines[1:])
+                    + "\n")
+    with pytest.raises(ContractError) as err:
+        read_corpus(path)
+    assert str(err.value) == f"{path}: unsupported corpus format_version 1"
 
 
 def _put(field, index, value):
