@@ -22,9 +22,10 @@ through. A document's `regions` and `sentences` are lists of hex rows:
 each row is the lowercase hex of its values' little-endian float64 bytes,
 16 digits per value, so a bag reads back bit for bit with one
 `bytes.fromhex` and one `np.frombuffer` call. Every id in a document
-must be a JSON integer; anything else, and a row that is not a string of
-the bag's width in hex digits or holds a non-finite value, is refused
-naming the line and the field.
+must be a JSON integer: the writer refuses any other id, naming the
+image_id and the field. The reader refuses such an id too, and a row
+that is not a string of the bag's width in hex digits or holds a
+non-finite value, naming the line and the field.
 """
 
 from __future__ import annotations
@@ -145,8 +146,29 @@ def _rotation(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return q * signs
 
 
+# Documents whose float arithmetic `generate_corpus` runs as one set of
+# array expressions; a block's temporaries are a few
+# (GENERATE_BLOCK_DOCUMENTS * regions_per_image, region_dim) arrays rather
+# than arrays that span the corpus.
+GENERATE_BLOCK_DOCUMENTS = 256
+
+
 def generate_corpus(spec: CorpusSpec) -> Corpus:
-    """Deterministically generate the bank and all documents from spec.seed."""
+    """Deterministically generate the bank and all documents from spec.seed.
+
+    After the bank's prototype and rotation draws, each document takes,
+    in this order: its concept count (`integers`), that many distinct
+    concepts (`choice`), one box size per concept (`integers`), a
+    permutation of the region indices (`permutation`), one shared noise
+    row per concept (`standard_normal((count, region_dim))`), region_dim
+    normals per region in index order (one `standard_normal` call of
+    N * region_dim values) and sentence_dim normals per described
+    sentence, one call each. Box k holds the next size_k entries of the
+    permutation, sorted. `tests/oracles.generate_corpus` restates this
+    order one region at a time. The values built from those draws depend
+    on nothing else, so the arithmetic runs a block of
+    GENERATE_BLOCK_DOCUMENTS documents at a time.
+    """
     rng = np.random.default_rng(spec.seed)
     protos = _rotation(rng, spec.region_dim, spec.concepts).T  # orthonormal rows
     rotation = _rotation(rng, spec.sentence_dim, spec.region_dim)
@@ -156,56 +178,98 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
         modality_rotation=rotation,
         seed=spec.seed,
     )
-    shared_scale = math.sqrt(spec.noise_coupling)
-    own_scale = math.sqrt(1.0 - spec.noise_coupling)
     documents = []
-    for image_id in range(spec.documents):
+    for start in range(0, spec.documents, GENERATE_BLOCK_DOCUMENTS):
+        stop = min(start + GENERATE_BLOCK_DOCUMENTS, spec.documents)
+        documents += _generate_block(rng, spec, bank, range(start, stop))
+    return Corpus(spec=spec, bank=bank, documents=documents)
+
+
+def _generate_block(rng: np.random.Generator, spec: CorpusSpec,
+                    bank: ConceptBank, image_ids: range) -> list:
+    """The documents `image_ids`, drawn in order from `rng`. Their bags
+    are row ranges of the block's region and sentence arrays."""
+    n = spec.regions_per_image
+    # every region's normals, drawn in place; the block's regions are then
+    # computed over them
+    regions = np.empty((len(image_ids) * n, spec.region_dim))
+    shared, sentence_draws = [], []
+    # the concept of each of the block's shared noise rows, and the shared
+    # row each region row (-1 for background) and sentence row takes
+    shared_concept, region_shared, sentence_shared = [], [], []
+    documents = []
+    for k, image_id in enumerate(image_ids):
         count = int(rng.integers(spec.concepts_min, spec.concepts_max + 1))
-        concepts = [int(c) for c in rng.choice(spec.concepts, size=count,
-                                               replace=False)]
-        sizes = [int(s) for s in rng.integers(spec.box_min, spec.box_max + 1,
-                                              size=count)]
-        order = rng.permutation(spec.regions_per_image)
+        concepts = rng.choice(spec.concepts, size=count,
+                              replace=False).tolist()
+        sizes = rng.integers(spec.box_min, spec.box_max + 1,
+                             size=count).tolist()
+        order = rng.permutation(n).tolist()
+        shared.append(rng.standard_normal((count, spec.region_dim)))
+        rng.standard_normal(out=regions[k * n:(k + 1) * n])
+        described = min(count, spec.sentences_per_doc)
+        sentence_draws += [rng.standard_normal(spec.sentence_dim)
+                           for _ in range(described)]
+        base = len(shared_concept)
+        shared_concept += concepts
+        sentence_shared += range(base, base + described)
+        row = [-1] * n
+        concept_of_region = [None] * n
         boxes = []
         offset = 0
-        owner = np.full(spec.regions_per_image, -1)
         for which, size in enumerate(sizes):
-            members = sorted(int(i) for i in order[offset:offset + size])
+            members = sorted(order[offset:offset + size])
             offset += size
             boxes.append(tuple(members))
-            owner[members] = which
-        shared = rng.standard_normal((count, spec.region_dim))
-        # every region draws region_dim normals in index order; background
-        # rows become a raw gaussian direction scaled to norm 0.5, half the
-        # prototype norm, concept rows the prototype plus coupled noise
-        draw = rng.standard_normal((spec.regions_per_image, spec.region_dim))
-        background = owner < 0
-        raw = draw[background]
-        norms = np.sqrt(np.sum(raw * raw, axis=1))
-        owned = owner[~background]
-        regions = np.empty((spec.regions_per_image, spec.region_dim))
-        regions[background] = 0.5 * raw / np.maximum(norms, 1e-300)[:, None]
-        noise = shared_scale * shared[owned] + own_scale * draw[~background]
-        regions[~background] = protos[np.asarray(concepts)[owned]] \
-            + spec.noise_sigma * noise
-        concept_of_region = [None if w < 0 else concepts[w]
-                             for w in owner.tolist()]
-        described = min(count, spec.sentences_per_doc)
-        sentences = np.empty((described, spec.sentence_dim))
-        for which in range(described):
-            noise = shared_scale * (rotation @ shared[which]) \
-                + own_scale * rng.standard_normal(spec.sentence_dim)
-            sentences[which] = bank.sentence_prototypes[concepts[which]] \
-                + spec.noise_sigma * noise
+            for i in members:
+                row[i] = base + which
+                concept_of_region[i] = concepts[which]
+        region_shared += row
         documents.append(SyntheticDocument(
             image_id=image_id,
-            region_observations=regions,
+            region_observations=None,
             region_concepts=concept_of_region,
-            sentence_observations=sentences,
+            sentence_observations=None,
             sentence_concepts=concepts[:described],
             boxes=boxes[:described],
         ))
-    return Corpus(spec=spec, bank=bank, documents=documents)
+    sentences = _block_bags(
+        spec, bank, np.concatenate(shared), np.array(shared_concept),
+        regions, np.array(region_shared), np.array(sentence_draws),
+        np.array(sentence_shared))
+    first = 0
+    for k, doc in enumerate(documents):
+        doc.region_observations = regions[k * n:(k + 1) * n]
+        doc.sentence_observations = sentences[first:first + len(doc.boxes)]
+        first += len(doc.boxes)
+    return documents
+
+
+def _block_bags(spec: CorpusSpec, bank: ConceptBank, shared, shared_concept,
+                regions, region_shared, sentence_draws, sentence_shared):
+    """Turn a block's region draws into its regions in place and return its
+    sentences, each element the same expression of the same draws as in a
+    per-document build. A background region is its raw gaussian direction
+    scaled to norm 0.5, half the prototype norm; a concept region or
+    sentence is its prototype plus coupled noise, the sentence's shared
+    part carried by the modality rotation."""
+    shared_scale = math.sqrt(spec.noise_coupling)
+    own_scale = math.sqrt(1.0 - spec.noise_coupling)
+    background = region_shared < 0
+    owned = region_shared[~background]
+    raw = regions[background]
+    norms = np.sqrt(np.sum(raw * raw, axis=1))
+    regions[background] = 0.5 * raw / np.maximum(norms, 1e-300)[:, None]
+    noise = shared_scale * shared[owned] + own_scale * regions[~background]
+    regions[~background] = bank.region_prototypes[shared_concept[owned]] \
+        + spec.noise_sigma * noise
+    # a stack of matrix-vector products, one rotation @ row per sentence:
+    # a single matrix product would not reproduce their bits
+    rotated = (bank.modality_rotation
+               @ shared[sentence_shared][:, :, None])[:, :, 0]
+    noise = shared_scale * rotated + own_scale * sentence_draws
+    return bank.sentence_prototypes[shared_concept[sentence_shared]] \
+        + spec.noise_sigma * noise
 
 
 def split_corpus(corpus: Corpus, train_fraction: float, seed: int):
@@ -232,14 +296,16 @@ def prompt_bank(bank: ConceptBank) -> dict:
 _FILE_FLOAT = np.dtype("<f8")
 
 
-def _hex_rows(bag: np.ndarray) -> list:
-    """The rows of a (k, dim) float64 bag, each as the lowercase hex of its
-    values' little-endian bytes, 16 digits per value."""
+def _hex_list(bag: np.ndarray) -> str:
+    """A (k, dim) float64 bag as the JSON list of its rows, each row the
+    lowercase hex of its values' little-endian bytes, 16 digits per value."""
     if not np.isfinite(bag).all():
         raise ContractError("cannot serialize non-finite float")
-    text = bag.astype(_FILE_FLOAT, copy=False).tobytes().hex()
-    width = 16 * bag.shape[1]
-    return [text[start:start + width] for start in range(0, len(text), width)]
+    if not len(bag):
+        return "[]"
+    text = bag.astype(_FILE_FLOAT, copy=False).tobytes() \
+        .hex(",", -8 * bag.shape[1])
+    return '["' + text.replace(",", '","') + '"]'
 
 
 class _BagError(ContractError):
@@ -262,7 +328,7 @@ def _row_problem(row, width: int) -> str | None:
 
 
 def _bag_from_hex(rows, name: str) -> np.ndarray:
-    """The (k, dim) float64 bag `_hex_rows` wrote; its first row sets dim.
+    """The (k, dim) float64 bag `_hex_list` wrote; its first row sets dim.
     An empty list reads as shape (0,). A row that is not a string of
     16 × dim hex digits, or that holds a non-finite value, is a _BagError
     naming the field and the row."""
@@ -296,15 +362,45 @@ def _bag_from_hex(rows, name: str) -> np.ndarray:
     return bag
 
 
-def _doc_to_dict(doc: SyntheticDocument) -> dict:
-    return {
-        "image_id": doc.image_id,
-        "regions": _hex_rows(doc.region_observations),
-        "region_concepts": doc.region_concepts,
-        "sentences": _hex_rows(doc.sentence_observations),
-        "sentence_concepts": doc.sentence_concepts,
-        "boxes": [list(b) for b in doc.boxes],
-    }
+# A document's line: the canonical JSON text of its six fields, keys sorted
+_DOC_LINE = ('{"boxes":%s,"image_id":%d,"region_concepts":%s,"regions":%s,'
+             '"sentence_concepts":%s,"sentences":%s}\n')
+_INT = {int}
+_INT_OR_NULL = {int, type(None)}
+
+
+def _check_ids(ids: list, allowed: set, field: str) -> None:
+    if not set(map(type, ids)) <= allowed:
+        bad = next(i for i in ids if type(i) not in allowed)
+        raise ContractError(f"{field} holds {bad!r}, which is not an integer")
+
+
+def _ids_json(ids: list) -> str:
+    """The JSON text of a list, or a list of lists, of plain ints and None:
+    its str() less the spaces, None as null."""
+    return str(ids).replace(" ", "").replace("None", "null")
+
+
+def _doc_line(doc: SyntheticDocument) -> str:
+    """`jsonio.dumps_canonical` of a document's six fields, its bags as hex
+    rows, and a newline. An id that is not a plain int, a bool, a float or
+    a numpy integer among them, is refused naming the image_id and the
+    field; a region concept may also be None."""
+    if type(doc.image_id) is not int:
+        raise ContractError(f"image_id {doc.image_id!r} is not an integer")
+    boxes = [list(box) for box in doc.boxes]
+    region_concepts = list(doc.region_concepts)
+    sentence_concepts = list(doc.sentence_concepts)
+    try:
+        _check_ids([i for box in boxes for i in box], _INT, "boxes")
+        _check_ids(region_concepts, _INT_OR_NULL, "region_concepts")
+        _check_ids(sentence_concepts, _INT, "sentence_concepts")
+        return _DOC_LINE % (
+            _ids_json(boxes), doc.image_id, _ids_json(region_concepts),
+            _hex_list(doc.region_observations), _ids_json(sentence_concepts),
+            _hex_list(doc.sentence_observations))
+    except ContractError as exc:
+        raise ContractError(f"image_id {doc.image_id}: {exc}") from None
 
 
 def _doc_from_dict(d: dict) -> SyntheticDocument:
@@ -381,8 +477,9 @@ def _list_problem(doc: SyntheticDocument, spec: CorpusSpec) -> str | None:
 
 def write_corpus(path, corpus: Corpus, config_fingerprint: str = "") -> None:
     """One JSON object per line: a header of canonical text, then one line
-    per document with its bags as hex rows (`_hex_rows`). A non-finite
-    value is refused."""
+    per document (`_doc_line`), the canonical text of its fields with its
+    bags as hex rows. A non-finite value, and an id that is not a plain
+    int, is refused."""
     header = {
         "kind": "corpus-header",
         "format_version": CORPUS_FORMAT_VERSION,
@@ -398,8 +495,7 @@ def write_corpus(path, corpus: Corpus, config_fingerprint: str = "") -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(jsonio.dumps_canonical(header) + "\n")
-        for doc in corpus.documents:
-            fh.write(jsonio.dumps_canonical(_doc_to_dict(doc)) + "\n")
+        fh.writelines(map(_doc_line, corpus.documents))
 
 
 def read_corpus(path) -> Corpus:

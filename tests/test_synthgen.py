@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from milalign import jsonio
+from milalign import jsonio, synthgen
 from milalign.autodiff import ContractError
 from milalign.synthgen import (
     Corpus,
@@ -106,6 +106,11 @@ IDENTITY_SPECS = {
                           regions_per_image=6, concepts_min=3,
                           concepts_max=3, box_min=2, box_max=2,
                           documents=30, seed=6),
+    # a document holds concepts it does not describe, whose shared noise
+    # still shapes its regions
+    "one-sentence": dict(sentences_per_doc=1, concepts_max=3, documents=60,
+                         seed=7),
+    "noiseless": dict(noise_sigma=0.0, documents=40, seed=8),
 }
 
 
@@ -121,6 +126,20 @@ def test_generation_matches_the_per_region_reference(name):
     assert len(corpus.documents) == len(documents)
     for doc, want in zip(corpus.documents, documents):
         assert doc.image_id == want["image_id"]
+        assert np.array_equal(doc.region_observations, want["regions"])
+        assert np.array_equal(doc.sentence_observations, want["sentences"])
+        assert doc.region_concepts == want["region_concepts"]
+        assert doc.sentence_concepts == want["sentence_concepts"]
+        assert doc.boxes == want["boxes"]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_generation_does_not_depend_on_the_block_size(monkeypatch, block):
+    spec = CorpusSpec(**IDENTITY_SPECS["default"])
+    monkeypatch.setattr(synthgen, "GENERATE_BLOCK_DOCUMENTS", block)
+    documents = generate_corpus(spec).documents
+    for doc, want in zip(documents, oracles.generate_corpus(spec)[3],
+                         strict=True):
         assert np.array_equal(doc.region_observations, want["regions"])
         assert np.array_equal(doc.sentence_observations, want["sentences"])
         assert doc.region_concepts == want["region_concepts"]
@@ -151,6 +170,63 @@ def test_generated_values_keep_their_golden_bits(seed):
                                   doc.sentence_concepts,
                                   [list(b) for b in doc.boxes]]).encode())
     assert digest.hexdigest() == GOLDEN_CORPUS_VALUES[seed]
+
+
+def _canonical_fields(doc):
+    """A document's six fields as `jsonio.dumps_canonical` takes them, its
+    bags as the reference hex rows."""
+    return {
+        "image_id": doc.image_id,
+        "regions": oracles.hex_rows(doc.region_observations),
+        "region_concepts": doc.region_concepts,
+        "sentences": oracles.hex_rows(doc.sentence_observations),
+        "sentence_concepts": doc.sentence_concepts,
+        "boxes": [list(b) for b in doc.boxes],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_SPECS))
+def test_each_document_line_is_the_canonical_text_of_its_fields(tmp_path,
+                                                                name):
+    corpus = generate_corpus(CorpusSpec(**IDENTITY_SPECS[name]))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, corpus, "abc")
+    *lines, last = path.read_text(encoding="utf-8").split("\n")
+    assert last == ""
+    for doc, line in zip(corpus.documents, lines[1:], strict=True):
+        assert line == jsonio.dumps_canonical(_canonical_fields(doc))
+
+
+# SHA-256 of write_corpus's output (config fingerprint "abc") for every
+# identity spec but the default, whose 50-document file test_jsonio pins:
+# dim33 has rows of 33 and 40 values, no-background no null region concept
+GOLDEN_IDENTITY_FILES = {
+    "coupled":
+        "7798502b989625d9e64c717b3e4181fcb88152cc3daa6a029c3b0c12a068fdf7",
+    "dim33":
+        "32792473c1b7fa2065ff121d380e6e72d8d04f87432bbbc2ce0f7c61c2c94a45",
+    "dim8":
+        "f2091cb8fdeedd92aff4a27edb1d5af64c6f2002b896257b110b4a5df069bc26",
+    "no-background":
+        "3e9c2af696bedd746c2d8e37e387d20afcc5dcc309b718ad980d447214464abf",
+    "noiseless":
+        "a95f9317d951bbaa7946672015d0501a72d155d2348a216bc81aec4a0064e0b9",
+    "one-sentence":
+        "f8bc2a5d562f359a77d565d8cb876a0266bbe179759ef736485b4cf42d68cab5",
+    "tiny":
+        "4dcaa3f17a4e1a34e18d49978d0afb993c45ffdf4ee822118e80e407e914b0e8",
+    "uncoupled":
+        "c7f1bc465f10353ecf900a5627e7e54ef2a51972ec9cfea20e4bdc20dd93c712",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_IDENTITY_FILES))
+def test_identity_corpus_files_keep_their_golden_bytes(tmp_path, name):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, generate_corpus(CorpusSpec(**IDENTITY_SPECS[name])),
+                 "abc")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        GOLDEN_IDENTITY_FILES[name]
 
 
 def test_prototypes_are_orthonormal_and_rotated():
@@ -462,6 +538,49 @@ def test_write_corpus_refuses_a_non_finite_value(tmp_path):
         write_corpus(tmp_path / "corpus.jsonl", corpus)
 
 
+def _set_id(doc, field, value):
+    if field == "image_id":
+        doc.image_id = value
+    elif field == "boxes":
+        doc.boxes[0] = (value,) + tuple(doc.boxes[0][1:])
+    else:
+        getattr(doc, field)[0] = value
+
+
+@pytest.mark.parametrize("field", ["image_id", "region_concepts",
+                                   "sentence_concepts", "boxes"])
+@pytest.mark.parametrize("value", [True, False, 2.0, 0.5, np.int64(2),
+                                   np.uint8(1)],
+                         ids=["true", "false", "float", "fraction", "int64",
+                              "uint8"])
+def test_write_corpus_writes_a_non_int_id_canonically_or_refuses_it(
+        tmp_path, field, value):
+    # never as str() text that is not JSON, such as True
+    corpus = generate_corpus(tiny_spec(documents=3))
+    doc = corpus.documents[1]
+    _set_id(doc, field, value)
+    path = tmp_path / "corpus.jsonl"
+    try:
+        write_corpus(path, corpus)
+    except ContractError as exc:
+        assert "image_id" in str(exc) and field in str(exc)
+        return
+    line = path.read_text(encoding="utf-8").splitlines()[2]
+    assert line == jsonio.dumps_canonical(_canonical_fields(doc))
+
+
+def test_write_corpus_writes_id_tuples_as_lists(tmp_path):
+    corpus = generate_corpus(tiny_spec(documents=3))
+    doc = corpus.documents[1]
+    doc.region_concepts = tuple(doc.region_concepts)
+    doc.sentence_concepts = tuple(doc.sentence_concepts)
+    doc.boxes = tuple(doc.boxes)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, corpus)
+    line = path.read_text(encoding="utf-8").splitlines()[2]
+    assert line == jsonio.dumps_canonical(_canonical_fields(doc))
+
+
 def test_read_corpus_refuses_format_version_1(tmp_path):
     corpus = generate_corpus(tiny_spec(documents=3))
     path = tmp_path / "corpus.jsonl"
@@ -625,3 +744,16 @@ def test_read_corpus_holds_less_than_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size
+
+
+def test_generate_corpus_peaks_near_what_the_corpus_holds():
+    # the arithmetic runs a block of documents at a time, so no temporary
+    # spans the corpus: the peak stays near what the finished corpus holds
+    tracemalloc.start()
+    try:
+        corpus = generate_corpus(CorpusSpec(documents=3000))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.documents) == 3000
+    assert peak < 1.3 * held
