@@ -21,20 +21,23 @@ fit's one-set call. The descent runs in place on one buffer of logits,
 with no tape op per iteration, and sums in the order of the whole-array
 softmax regression it replaces, so the weights are the same bits.
 
-Each task is a few whole-array expressions over all of its cases. The
-region bags of the distinct documents are stacked and encoded in one
-`encode_bag` call and the sentences or prompts in another, so the number
-of encoder calls does not depend on the number of cases. Zero-shot
-scores come from the training score table, `scoring.pairwise_score_tables`,
-with each prompt a one-sentence document; grounding and retrieval take
-their cosines from the values of `scoring.unit_rows`, as the score table
-does. Grounding scores every case as one (cases, N) array and reduces it
-with masked array expressions. mIoU gives each score the number of
-thresholds it reaches and counts those levels per case, so no (cases,
-thresholds, N) array is built. The one-map functions `cnr`, `miou` and
-`grounding_hit` are one-row calls of the same expressions. Retrieval
-builds its cosine table a block of rows at a time, in each direction, and
-ranks each row's own entry in one comparison pass over its block.
+Each task streams the region bags of its distinct documents through the
+region encoder EVAL_BLOCK_BAGS bags at a time: one `encode_bag` call per
+block, whose features the task uses before the next block is encoded, so
+evaluation holds one block of encoded regions rather than the split's.
+Rows never mix in the encoder, so every value is the same bits at any
+block size. Zero-shot scores come from the training score table,
+`scoring.pairwise_score_tables`, one block of images at a time, with each
+prompt a one-sentence document; grounding and retrieval take their
+cosines from the values of `scoring.unit_rows`, as the score table does,
+and grounding encodes the sentences of each block's cases with it.
+Grounding reduces its (cases, N) score maps with masked array
+expressions. mIoU gives each score the number of thresholds it reaches
+and counts those levels per case, so no (cases, thresholds, N) array is
+built. The one-map functions `cnr`, `miou` and `grounding_hit` are
+one-row calls of the same expressions. Retrieval builds its cosine table
+a block of rows at a time, in each direction, and ranks each row's own
+entry in one comparison pass over its block.
 """
 
 from __future__ import annotations
@@ -65,9 +68,13 @@ IOU_THRESHOLDS = np.arange(-20, 21) * 5 / 100.0  # -1.00 .. 1.00 in 0.05 steps
 # Query rows `rank_of_match` and `cosine_match_ranks` compare at a time;
 # their temporaries are (RANK_BLOCK_ROWS, q) rather than (q, q).
 RANK_BLOCK_ROWS = 256
+# Distinct region bags each task encodes per `encode_bag` call; the
+# encoder's temporaries are (EVAL_BLOCK_BAGS * N, hidden) rather than
+# (bags * N, hidden).
+EVAL_BLOCK_BAGS = 256
 # Cases `grounding_score_maps` scores and `retrieval_features` sums at a
-# time; their gathered regions are (GROUNDING_BLOCK_CASES, N, D) rather than
-# (cases, N, D).
+# time within a block of bags; their gathered regions are
+# (GROUNDING_BLOCK_CASES, N, D) rather than (the block's cases, N, D).
 GROUNDING_BLOCK_CASES = 512
 
 
@@ -77,13 +84,17 @@ GROUNDING_BLOCK_CASES = 512
 
 def _encode(encoder, observations) -> np.ndarray:
     """Encode a (count, D_in) bag, or a (bags, count, D_in) stack of
-    equal-size bags, in one `encode_bag` call; rows never mix, so a stack
-    gives each bag the features it would get alone, up to rounding."""
+    equal-size bags, in one `encode_bag` call. Rows never mix, so each row
+    gets the same bits in any call: numpy multiplies a one-row matrix with
+    a matrix-vector kernel, whose sums can round differently, so a lone
+    row is encoded beside a copy of itself."""
     obs = np.asarray(observations)
-    if obs.ndim != 3:
-        return encode_bag(encoder, obs).value
-    flat = encode_bag(encoder, obs.reshape(-1, obs.shape[2])).value
-    return flat.reshape(obs.shape[0], obs.shape[1], flat.shape[1])
+    flat = obs.reshape(-1, obs.shape[2]) if obs.ndim == 3 else obs
+    if flat.ndim == 2 and flat.shape[0] == 1:
+        feats = encode_bag(encoder, np.repeat(flat, 2, axis=0)).value[:1]
+    else:
+        feats = encode_bag(encoder, flat).value
+    return feats.reshape(*obs.shape[:2], -1) if obs.ndim == 3 else feats
 
 
 def encode_regions(params: ModelParams, observations) -> np.ndarray:
@@ -94,29 +105,60 @@ def encode_sentences(params: ModelParams, observations) -> np.ndarray:
     return _encode(params.sentence_encoder, observations)
 
 
-def _stack_same_shape(arrays, describe) -> np.ndarray:
-    """np.stack of equal-shaped arrays. A ragged input is a ContractError
-    naming the first item that differs (`describe(i)`) and both shapes."""
+def _same_shape(arrays, describe) -> list:
+    """`arrays`, checked to share one shape. A ragged input is a
+    ContractError naming the first item that differs (`describe(i)`) and
+    both shapes."""
     shape = np.shape(arrays[0])
     for i, a in enumerate(arrays):
         if np.shape(a) != shape:
             raise ContractError(f"{describe(i)} has shape {np.shape(a)}, but "
                                 f"{describe(0)} has shape {shape}")
-    return np.stack(arrays)
+    return arrays
 
 
-def _document_regions(documents) -> np.ndarray:
-    """The documents' region bags stacked (docs, N, D_in)."""
-    return _stack_same_shape(
+def _document_bags(documents):
+    """(bags, rows) of `_by_bag_block` with each document its own case:
+    the documents' region bags, checked to share one (N, D_in) shape."""
+    bags = _same_shape(
         [doc.region_observations for doc in documents],
         lambda i: f"region bag of document {i} (image {documents[i].image_id})")
+    return bags, np.arange(len(bags))
+
+
+def _by_bag_block(params: ModelParams, bags, rows, block_rows) -> np.ndarray:
+    """A task's per-case rows, computed one block of EVAL_BLOCK_BAGS
+    distinct region bags at a time.
+
+    `bags` are equal-shape (N, D_in) bags and case c's bag is
+    `bags[rows[c]]`; cases may come in any order and may share a bag. Each
+    block's bags are stacked and encoded in one `encode_regions` call, and
+    `block_rows(cases, local, feats)` gets the block's (bags, N, D)
+    features `feats`, the indices `cases` of the cases whose bag lies in
+    the block and `local`, the row of each such case's bag in `feats`. It
+    returns one row per such case, in that order. The rows of all cases
+    come back in case order."""
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    out = None
+    for start in range(0, len(bags), EVAL_BLOCK_BAGS):
+        feats = encode_regions(
+            params, np.stack(bags[start:start + EVAL_BLOCK_BAGS]))
+        lo, hi = np.searchsorted(ordered, (start, start + EVAL_BLOCK_BAGS))
+        cases = order[lo:hi]
+        part = block_rows(cases, rows[cases] - start, feats)
+        if out is None:
+            out = np.empty((len(rows), *part.shape[1:]), dtype=part.dtype)
+        out[cases] = part
+    return out
 
 
 def pooled_image_features(params: ModelParams, documents) -> np.ndarray:
     """Mean of encoded region features per image, stacked (len(docs), D)."""
     if not documents:
         raise ContractError("no documents to pool features from")
-    return encode_regions(params, _document_regions(documents)).mean(axis=1)
+    return _by_bag_block(params, *_document_bags(documents),
+                         lambda cases, local, feats: feats.mean(axis=1)[local])
 
 
 def single_concept_documents(documents) -> list:
@@ -166,12 +208,15 @@ def zero_shot_score_table(params: ModelParams, local_agg: LocalAggregatorSpec,
     score table's local route, each prompt a one-sentence document under
     sentence aggregator Id."""
     prompt_feats = encode_sentences(params, prompt_matrix(prompts))
-    regions = encode_regions(params, _document_regions(documents))
-    _, n_regions, dim = regions.shape
-    table, _ = pairwise_score_tables(
-        regions.reshape(-1, dim), n_regions, prompt_feats, 1, local_agg, None,
-        SentenceAggregatorSpec(kind="Id"))
-    return table.value
+
+    def block_table(cases, local, feats):
+        # each table row is one image's, so the blocks' rows concatenate
+        table, _ = pairwise_score_tables(
+            feats.reshape(-1, feats.shape[2]), feats.shape[1], prompt_feats, 1,
+            local_agg, None, SentenceAggregatorSpec(kind="Id"))
+        return table.value[local]
+
+    return _by_bag_block(params, *_document_bags(documents), block_table)
 
 
 def minmax_normalize_columns(table: np.ndarray) -> np.ndarray:
@@ -386,24 +431,27 @@ class GroundingCase:
                                 "the regions")
 
 
-def grounding_cases(documents) -> list:
-    cases = []
+def _each_grounding_case(documents):
     for doc in documents:
         for j, box in enumerate(doc.boxes):
-            cases.append(GroundingCase(
+            yield GroundingCase(
                 image_id=doc.image_id,
                 sentence_index=j,
                 region_observations=doc.region_observations,
                 sentence_observation=doc.sentence_observations[j],
                 box=tuple(box),
-            ))
-    return cases
+            )
+
+
+def grounding_cases(documents) -> list:
+    return list(_each_grounding_case(documents))
 
 
 def _case_inputs(cases):
     """(bags, rows, sentences) of a list of cases: the region bags of the
-    distinct documents stacked (docs, N, D_in), the row of each case's bag
-    in that stack, and the sentence observations stacked (cases, D_s).
+    distinct documents, in the order of their first case, the index of
+    each case's bag among them, and the sentence observations stacked
+    (cases, D_s).
 
     Cases share a bag when they hold the same array, as the cases of one
     document from `grounding_cases` do, so each document is encoded once
@@ -424,26 +472,31 @@ def _case_inputs(cases):
     # each distinct bag is named by its first case, so a ragged stack names
     # the first case that differs
     distinct, rows = np.unique(owners, return_inverse=True)
-    stacked = _stack_same_shape([bags[i] for i in distinct],
+    distinct_bags = _same_shape([bags[i] for i in distinct],
                                 lambda k: name("region bag", distinct[k]))
-    sentences = _stack_same_shape([c.sentence_observation for c in cases],
-                                  lambda i: name("sentence", i))
-    return stacked, rows, sentences
+    sentences = _same_shape([c.sentence_observation for c in cases],
+                            lambda i: name("sentence", i))
+    return distinct_bags, rows, np.stack(sentences)
 
 
 def grounding_score_maps(params: ModelParams, cases) -> np.ndarray:
     """(cases, N) raw region-sentence cosines, no smoothing; values in
     [-1, 1]. Row c is case c's regions scored against its sentence."""
     bags, rows, sentences = _case_inputs(cases)
-    feats = encode_regions(params, bags)
-    regions = unit_rows(feats.reshape(-1, feats.shape[2])).value
-    regions = regions.reshape(feats.shape)
-    unit_sentences = unit_rows(encode_sentences(params, sentences)).value
-    maps = np.empty((len(rows), feats.shape[1]))
-    for start in range(0, len(rows), GROUNDING_BLOCK_CASES):
-        block = slice(start, start + GROUNDING_BLOCK_CASES)
-        np.einsum("cnd,cd->cn", regions[rows[block]], unit_sentences[block],
-                  out=maps[block])
+
+    def block_maps(cases, local, feats):
+        regions = unit_rows(feats.reshape(-1, feats.shape[2])).value
+        regions = regions.reshape(feats.shape)
+        unit_sentences = unit_rows(encode_sentences(params,
+                                                    sentences[cases])).value
+        maps = np.empty((len(cases), feats.shape[1]))
+        for start in range(0, len(cases), GROUNDING_BLOCK_CASES):
+            block = slice(start, start + GROUNDING_BLOCK_CASES)
+            np.einsum("cnd,cd->cn", regions[local[block]],
+                      unit_sentences[block], out=maps[block])
+        return maps
+
+    maps = _by_bag_block(params, bags, rows, block_maps)
     return np.clip(maps, -1.0, 1.0, out=maps)
 
 
@@ -604,38 +657,52 @@ def retrieval_features(params: ModelParams, cases):
             raise ContractError(f"duplicate retrieval pairing {key}")
         seen.add(key)
     bags, rows, sentences = _case_inputs(cases)
-    masks = box_masks(bags.shape[1], [case.box for case in cases])
-    regions = encode_regions(params, bags)
-    weights = masks.astype(np.float64)
-    box_sums = np.empty((len(rows), regions.shape[2]))
-    for start in range(0, len(rows), GROUNDING_BLOCK_CASES):
-        block = slice(start, start + GROUNDING_BLOCK_CASES)
-        np.einsum("cn,cnd->cd", weights[block], regions[rows[block]],
-                  out=box_sums[block])
-    boxes = box_sums / np.count_nonzero(masks, axis=1)[:, None]
+    masks = box_masks(bags[0].shape[0], [case.box for case in cases])
+
+    def block_box_sums(cases, local, feats):
+        weights = masks[cases].astype(np.float64)
+        sums = np.empty((len(cases), feats.shape[2]))
+        for start in range(0, len(cases), GROUNDING_BLOCK_CASES):
+            block = slice(start, start + GROUNDING_BLOCK_CASES)
+            np.einsum("cn,cnd->cd", weights[block], feats[local[block]],
+                      out=sums[block])
+        return sums
+
+    boxes = _by_bag_block(params, bags, rows, block_box_sums)
+    boxes /= np.count_nonzero(masks, axis=1)[:, None]
     return boxes, encode_sentences(params, sentences)
 
 
 def _ranks_by_block(q: int, rows) -> np.ndarray:
     """1-based rank of entry i in row i of a (q, q) table whose rows
     `rows(start, stop)` returns, RANK_BLOCK_ROWS rows at a time, under
-    descending-score order, ties broken by candidate index ascending."""
+    descending-score order, ties broken by candidate index ascending.
+
+    A block is (RANK_BLOCK_ROWS, q) float64, 6.1 MB at q = 3,000. No name
+    holds it past its `_own_ranks` call, so each block is freed before
+    the next one is built."""
     ranks = np.empty(q, dtype=np.int64)
     for start in range(0, q, RANK_BLOCK_ROWS):
-        block = rows(start, start + RANK_BLOCK_ROWS)
-        stop = start + block.shape[0]
-        local = np.arange(block.shape[0])
-        own = block[local, start + local][:, None]
-        # a candidate ranks ahead when it scores higher, or the same before
-        # the row's own index
-        ahead = np.empty(block.shape, dtype=bool)
-        np.greater_equal(block[:, :start], own, out=ahead[:, :start])
-        np.greater(block[:, stop:], own, out=ahead[:, stop:])
-        square = block[:, start:stop]
-        ahead[:, start:stop] = np.where(local[:, None] > local, square >= own,
-                                        square > own)
-        ranks[start:stop] = 1 + np.count_nonzero(ahead, axis=1)
+        ranks[start:start + RANK_BLOCK_ROWS] = _own_ranks(
+            rows(start, start + RANK_BLOCK_ROWS), start)
     return ranks
+
+
+def _own_ranks(block: np.ndarray, start: int) -> np.ndarray:
+    """1-based rank of entry start + i in row i of `block`, the rows of a
+    square table from row `start` on, as `_ranks_by_block` orders them."""
+    stop = start + block.shape[0]
+    local = np.arange(block.shape[0])
+    own = block[local, start + local][:, None]
+    # a candidate ranks ahead when it scores higher, or the same before
+    # the row's own index
+    ahead = np.empty(block.shape, dtype=bool)
+    np.greater_equal(block[:, :start], own, out=ahead[:, :start])
+    np.greater(block[:, stop:], own, out=ahead[:, stop:])
+    square = block[:, start:stop]
+    ahead[:, start:stop] = np.where(local[:, None] > local, square >= own,
+                                    square > own)
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 def rank_of_match(score_table: np.ndarray) -> np.ndarray:
@@ -756,7 +823,9 @@ def _row_config(base: TrainConfig, entry: GridEntry, seed: int) -> TrainConfig:
 
 
 def retrieval_cases(documents, limit: int | None = None) -> list:
-    return grounding_cases(documents)[:limit]
+    """`grounding_cases(documents)[:limit]`, building no case past the
+    limit."""
+    return list(itertools.islice(_each_grounding_case(documents), limit))
 
 
 def ablation_grid(train_docs, test_docs, grid, base_config: TrainConfig,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from memory import traced_call
 from milalign import evaluation
 from milalign.autodiff import ContractError
 from milalign.aggregators import (
@@ -385,6 +386,36 @@ def test_grounding_cases_expand_documents():
         assert case.box == doc.boxes[case.sentence_index]
 
 
+def test_retrieval_cases_are_the_first_grounding_cases(monkeypatch):
+    documents = tiny_corpus(documents=6).documents
+    everything = grounding_cases(documents)
+    ends = np.cumsum([len(doc.boxes) for doc in documents])
+    # a limit inside the sentences of a document with two cases, one on a
+    # document boundary and one past the last case
+    inside = next(end - 1 for end, doc in zip(ends, documents)
+                  if len(doc.boxes) == 2)
+    limits = (None, 2, inside, int(ends[2]), len(everything) + 5)
+    built = []
+
+    class Counted(GroundingCase):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(evaluation, "GroundingCase", Counted)
+    for limit in limits:
+        built.clear()
+        got = retrieval_cases(documents, limit)
+        want = everything[:limit]
+        assert len(built) == len(want)  # no case is built past the limit
+        assert [(c.image_id, c.sentence_index, c.box) for c in got] == \
+            [(c.image_id, c.sentence_index, c.box) for c in want]
+        for a, b in zip(got, want, strict=True):
+            assert a.region_observations is b.region_observations
+            assert np.array_equal(a.sentence_observation,
+                                  b.sentence_observation)
+
+
 def test_iou_threshold_grid_is_frozen():
     assert IOU_THRESHOLDS.size == 41
     assert IOU_THRESHOLDS[0] == -1.0
@@ -664,6 +695,16 @@ def test_ranks_with_ties_match_double_loop_at_any_block_size(monkeypatch,
     assert rank_of_match(np.full((q, q), 0.25)).tolist() == list(range(1, q + 1))
 
 
+def test_cosine_ranks_hold_one_rank_block_at_a_time():
+    # each (RANK_BLOCK_ROWS, q) block is freed before the next is built
+    rng = np.random.default_rng(5)
+    q = 3000
+    boxes, sentences = rng.standard_normal((2, q, 16))
+    block = evaluation.RANK_BLOCK_ROWS * q * 8
+    _, _, peak = traced_call(evaluation.cosine_match_ranks, boxes, sentences)
+    assert peak < 1.5 * block
+
+
 def test_lower_median_convention():
     assert lower_median([4, 1, 3, 2]) == 2.0
     assert lower_median([5]) == 5.0
@@ -756,6 +797,125 @@ def test_encode_calls_do_not_depend_on_case_count(monkeypatch, tmp_path):
         export_score_maps(tmp_path / "maps.json", params, cases)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+# ---------------------------------------------------------------------------
+# a block of bags at a time
+
+
+def shuffled_streaming_inputs(seed=0):
+    """(params, documents, cases, prompts) of the block-size tests: 40
+    documents and their grounding cases, both shuffled, so that the
+    cases' bag rows are not monotone, with one case dropped, so that some
+    document has a lone case and a block of one bag can hold one
+    sentence."""
+    corpus = tiny_corpus(documents=40, seed=seed)
+    _, params = tiny_params(seed=4)
+    rng = np.random.default_rng(seed)
+    documents = [corpus.documents[i] for i in rng.permutation(40)]
+    cases = grounding_cases(corpus.documents)[1:]
+    cases = [cases[i] for i in rng.permutation(len(cases))]
+    return params, documents, cases, prompt_bank(corpus.bank)
+
+
+STREAMED_TASKS = {
+    "grounding maps":
+        lambda params, docs, cases, prompts: [
+            grounding_score_maps(params, cases)],
+    "retrieval features":
+        lambda params, docs, cases, prompts: list(
+            retrieval_features(params, cases)),
+    "pooled features":
+        lambda params, docs, cases, prompts: [
+            pooled_image_features(params, docs)],
+    "zero-shot table":
+        lambda params, docs, cases, prompts: [
+            zero_shot_score_table(
+                params, LocalAggregatorSpec(kind=kind,
+                                            gamma=0.5 if kind == "LSE" else None),
+                prompts, docs) for kind in LOCAL_KINDS],
+}
+
+
+@pytest.mark.parametrize("task", STREAMED_TASKS)
+def test_streamed_tasks_do_not_depend_on_the_bag_block_size(monkeypatch, task):
+    inputs = shuffled_streaming_inputs()
+    whole = STREAMED_TASKS[task](*inputs)
+    bags = len(inputs[1])
+    assert bags < evaluation.EVAL_BLOCK_BAGS  # the default is one block
+    assert bags % 7  # so blocks of 7 leave a short last block
+    for block in (1, 7, bags + 1):
+        monkeypatch.setattr(evaluation, "EVAL_BLOCK_BAGS", block)
+        got = STREAMED_TASKS[task](*inputs)
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole,
+                                                         strict=True))
+
+
+def test_a_lone_row_is_encoded_to_the_bits_of_a_larger_call():
+    _, params = tiny_params(seed=3)
+    rows = np.random.default_rng(8).normal(size=(9, 6))
+    for encode in (encode_regions, encode_sentences):
+        whole = encode(params, rows)
+        for i in range(9):
+            assert np.array_equal(encode(params, rows[i:i + 1]),
+                                  whole[i:i + 1])
+        assert np.array_equal(encode(params, rows[None, 4:5]),
+                              whole[None, 4:5])
+
+
+def test_each_block_of_bags_is_one_encoder_call(monkeypatch):
+    params, documents, cases, prompts = shuffled_streaming_inputs()
+    calls = []
+    encode_bag = evaluation.encode_bag
+
+    def counted(encoder, observations):
+        calls.append(encoder is params.region_encoder)
+        return encode_bag(encoder, observations)
+
+    monkeypatch.setattr(evaluation, "encode_bag", counted)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK_BAGS", 7)
+    blocks = -(-len(documents) // 7)
+    runs = {  # (region calls, sentence calls) of each task
+        "grounding maps": (blocks, blocks),
+        "retrieval features": (blocks, 1),
+        "pooled features": (blocks, 0),
+        "zero-shot table": (blocks * len(LOCAL_KINDS), len(LOCAL_KINDS)),
+    }
+    for task, (regions, sentences) in runs.items():
+        calls.clear()
+        STREAMED_TASKS[task](params, documents, cases, prompts)
+        assert (calls.count(True), calls.count(False)) == \
+            (regions, sentences), task
+
+
+def test_each_task_peaks_at_one_block_of_bags_and_its_outputs():
+    # the encoder sees EVAL_BLOCK_BAGS bags at a time, so no temporary spans
+    # the split's encoded regions (11.7 MiB of hidden rows here): a task's
+    # traced peak stays below a few hidden-layer temporaries of one block
+    # plus two copies of its per-case outputs
+    spec = CorpusSpec(documents=3000)
+    corpus = generate_corpus(spec)
+    config = ModelConfig(region_input_dim=spec.region_dim,
+                         sentence_input_dim=spec.sentence_dim,
+                         hidden_dim=32, embed_dim=16)
+    params = unflatten_params(config, init_model(config, 14.0, 0))
+    documents = corpus.documents
+    cases = grounding_cases(documents)
+    block = (evaluation.EVAL_BLOCK_BAGS * spec.regions_per_image
+             * config.hidden_dim * 8)
+    lse = LocalAggregatorSpec(kind="LSE", gamma=0.1)
+    runs = {
+        "grounding maps": lambda: grounding_score_maps(params, cases),
+        "retrieval features":
+            lambda: retrieval_features(params, cases[:3000]),
+        "pooled features": lambda: pooled_image_features(params, documents),
+        "zero-shot table": lambda: zero_shot_score_table(
+            params, lse, prompt_bank(corpus.bank), documents),
+    }
+    for task, run in runs.items():
+        outputs, _, peak = traced_call(run)
+        outputs = outputs if isinstance(outputs, tuple) else (outputs,)
+        assert peak < 4 * block + 2 * sum(a.nbytes for a in outputs), task
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ import json
 import math
 import struct
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from memory import traced_call
 from milalign import jsonio, synthgen
 from milalign.autodiff import ContractError
 from milalign.synthgen import (
@@ -737,23 +737,14 @@ def test_read_corpus_holds_less_than_the_file(tmp_path):
     # holds the file's text, let alone a second copy split into lines
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, generate_corpus(CorpusSpec(documents=600)))
-    tracemalloc.start()
-    try:
-        read_corpus(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced_call(read_corpus, path)
     assert peak < path.stat().st_size
 
 
 def test_generate_corpus_peaks_near_what_the_corpus_holds():
     # the arithmetic runs a block of documents at a time, so no temporary
     # spans the corpus: the peak stays near what the finished corpus holds
-    tracemalloc.start()
-    try:
-        corpus = generate_corpus(CorpusSpec(documents=3000))
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    corpus, held, peak = traced_call(generate_corpus,
+                                     CorpusSpec(documents=3000))
     assert len(corpus.documents) == 3000
     assert peak < 1.3 * held
