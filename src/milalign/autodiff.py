@@ -354,6 +354,69 @@ def softmax(x, scale: float = 1.0, axis: int = 0) -> Var:
     return _node(w, (xv,), vjp)
 
 
+def softmax_columns(x, columns, scale: float = 1.0) -> Var:
+    """Softmax over axis 1 of a (B, N, K) stack, then the columns named by
+    the (B, Q) integer array `columns`, gathered slice by slice: out[b, :, c]
+    is the softmax of x[b, :, columns[b, c]]. The softmax runs once per
+    column of x, however many of the Q columns repeat it.
+
+    Wherever scale * x is finite, values and cotangent equal those of
+    softmax(matmul(x, onehot), scale, axis=1) bit for bit, where
+    onehot[b, k, c] = (k == columns[b, c]): each column's softmax adds its
+    N terms in the same order, and the gather is a matmul of the weights
+    with that one-hot, which adds one weight to zeros. A lone column
+    (Q = 1) is gathered before its softmax instead: numpy sums the N
+    contiguous terms of a (B, N, 1) stack pairwise, not in row order. The
+    backward is that pair's too: the softmax rule on each of the Q
+    gathered columns, then `@ onehot^T`, which sums the repeats of a
+    column in the matmul's order."""
+    gamma = float(scale)
+    if not np.isfinite(gamma):
+        raise ContractError("softmax scale must be finite")
+    xv = as_var(x)
+    val = xv.value
+    cols = np.asarray(columns)
+    if val.ndim != 3 or cols.ndim != 2 or cols.shape[0] != val.shape[0]:
+        raise ContractError("softmax_columns expects a (B, N, K) stack and "
+                            "(B, Q) column indices")
+    if val.size == 0 or cols.size == 0:
+        raise ContractError("softmax of an empty array")
+    onehot = np.zeros((val.shape[0], val.shape[2], cols.shape[1]))
+    np.put_along_axis(onehot, cols[:, None, :], 1.0, axis=1)
+    lone = cols.shape[1] == 1
+    z = gamma * (np.matmul(val, onehot) if lone else val)
+    m = np.max(z, axis=1, keepdims=True)
+    e = np.exp(z - m)
+    w = e / np.sum(e, axis=1, keepdims=True)
+    if not lone:
+        w = np.matmul(w, onehot)  # (B, N, Q)
+
+    def vjp(g):
+        g = np.asarray(g, dtype=np.float64)
+        inner = np.sum(g * w, axis=1, keepdims=True)
+        return ((gamma * w * (g - inner)) @ np.swapaxes(onehot, 1, 2),)
+
+    return _node(w, (xv,), vjp)
+
+
+def slice_reshape(x, start: int, stop: int, shape) -> Var:
+    """x[start:stop] of a 1-D operand, reshaped to `shape`: one node in
+    place of a getitem and a reshape, with their cotangent, zero-padded
+    to the length of x."""
+    xv = as_var(x)
+    val = xv.value
+    if val.ndim != 1:
+        raise ContractError("slice_reshape expects a 1-D operand")
+    out = val[start:stop].reshape(shape)
+
+    def vjp(g):
+        z = np.zeros_like(val)
+        z[start:stop] = np.ravel(g)
+        return (z,)
+
+    return _node(out, (xv,), vjp)
+
+
 def reshape(x, shape) -> Var:
     xv = as_var(x)
     val = xv.value

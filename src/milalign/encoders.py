@@ -181,9 +181,10 @@ def init_model(config: ModelConfig, gamma_init: float,
 def unflatten_params(config: ModelConfig, flat) -> ModelParams:
     """The named fields of a flat parameter vector, cut in template order.
 
-    Accepts a plain ndarray or a Var; with a Var the fields are views in
-    the same tape, so a loss built from them differentiates with respect
-    to the flat vector.
+    Accepts a plain ndarray or a Var; with a Var each field is one tape
+    node (`autodiff.slice_reshape`) whose value is a view of the vector,
+    so a loss built from them differentiates with respect to the flat
+    vector.
     """
     layout = _layout(config)
     is_var = isinstance(flat, Var)
@@ -194,11 +195,11 @@ def unflatten_params(config: ModelConfig, flat) -> ModelParams:
         )
     fields = {}
     for name, start, stop, shape in layout.slices:
-        chunk = flat[start:stop]
         if is_var:
-            fields[name] = ad.reshape(chunk, shape)
+            fields[name] = ad.slice_reshape(flat, start, stop, shape)
         else:
-            fields[name] = np.asarray(chunk, dtype=np.float64).reshape(shape)
+            fields[name] = np.asarray(flat[start:stop],
+                                      dtype=np.float64).reshape(shape)
     region = EncoderParams(W1=fields["region.W1"], b1=fields["region.b1"],
                            W2=fields["region.W2"], b2=fields["region.b2"])
     sentence = EncoderParams(W1=fields["sentence.W1"], b1=fields["sentence.b1"],

@@ -74,7 +74,13 @@ def _nonlocal_weights(spec: GlobalAggregatorSpec, regions: Var, sm_all: Var,
     once. For each sentence column, an image's critical region is its first
     region of maximal cosine to that sentence; the regions are weighted by
     the softmax over the image of their mapped inner product with it.
-    Returns (bi, N, Q) for the Q sentence columns of `sm_all`."""
+    Returns (bi, N, Q) for the Q sentence columns of `sm_all`.
+
+    The softmax runs once per column of the (bi, N, N) gram, and each
+    sentence column then gathers its critical region's weights
+    (`autodiff.softmax_columns`). The backward still runs per sentence
+    column and sums the columns that share a critical region afterwards,
+    so the gradient keeps its bits."""
     if spec.sim_map is None:
         raise ContractError("NL aggregator requires the learned sim_map matrix")
     dim = regions.value.shape[1]
@@ -83,10 +89,7 @@ def _nonlocal_weights(spec: GlobalAggregatorSpec, regions: Var, sm_all: Var,
                         (bi, n_regions, dim))
     gram = ad.matmul(mapped, ad.transpose(mapped))  # (bi, N, N)
     critical = np.argmax(sm_all.value.reshape(bi, n_regions, q), axis=1)
-    # a constant one-hot pick keeps the gather's backward a matmul too
-    onehot = (np.arange(n_regions)[None, :, None] == critical[:, None, :])
-    picked = ad.matmul(gram, onehot.astype(np.float64))  # (bi, N, Q)
-    return ad.softmax(picked, spec.gamma, axis=1)
+    return ad.softmax_columns(gram, critical, spec.gamma)
 
 
 def pairwise_score_tables(regions_all, n_regions: int, sentences_all,

@@ -168,22 +168,26 @@ def _documents_of(corpus) -> list:
 def sample_batch(corpus_train, config: TrainConfig, rng: np.random.Generator):
     """Draw batch_size distinct documents, then one fixed-size sentence bag
     per document (uniform with replacement). Negatives are implicit: every
-    other image in the batch."""
+    other image in the batch.
+
+    All bags come from one `integers` call with a per-document bound of
+    shape (batch_size, 1). Its values, and the generator state it leaves,
+    equal those of one `integers(0, sentences, size=sentences_per_bag)`
+    call per document in batch order."""
     docs = _documents_of(corpus_train)
     if len(docs) < config.batch_size:
         raise ContractError(f"training corpus has {len(docs)} documents, "
                             f"fewer than batch_size={config.batch_size}")
     chosen = rng.choice(len(docs), size=config.batch_size, replace=False)
-    batch = []
-    for raw in chosen:
-        doc = docs[int(raw)]
-        available = doc.sentence_observations.shape[0]
-        if available < 1:
+    picked = [docs[int(raw)] for raw in chosen]
+    available = np.array([doc.sentence_observations.shape[0] for doc in picked])
+    for doc, count in zip(picked, available):
+        if count < 1:
             raise ContractError(f"document {doc.image_id} has no sentences")
-        picks = rng.integers(0, available, size=config.sentences_per_bag)
-        batch.append(BatchItem(document=doc,
-                               sentence_bag=doc.sentence_observations[picks]))
-    return batch
+    picks = rng.integers(0, available[:, None],
+                         size=(config.batch_size, config.sentences_per_bag))
+    return [BatchItem(document=doc, sentence_bag=doc.sentence_observations[row])
+            for doc, row in zip(picked, picks)]
 
 
 def lr_at_step(t: int, peak_lr: float, warmup_steps: int,

@@ -12,6 +12,11 @@ expressions, one `autodiff.softmax` per iteration and every temporary
 fresh: the form the in-place descent in `evaluation.linear_probe_stack`
 must reproduce bit for bit.
 
+`sample_batch_per_document` draws a batch's sentence bags with one
+`integers` call per document: the draws that `trainer.sample_batch`
+must reproduce from its one call, value for value and generator state
+for generator state.
+
 `canonical_json` formats every value one at a time and `generate_corpus`
 draws and builds one region at a time: the element-by-element forms that
 `jsonio.dumps_canonical` and `synthgen.generate_corpus` must reproduce
@@ -216,6 +221,21 @@ def linear_probe_descent(train_features, train_labels, classes, iterations,
         weights -= lr * (delta.transpose(0, 2, 1) @ x)
         bias -= lr * delta.sum(axis=1, keepdims=True)
     return weights, bias[:, 0]
+
+
+def sample_batch_per_document(documents, batch_size, sentences_per_bag, rng):
+    """(document, sentence bag) per batch slot: `batch_size` distinct
+    documents from one `choice` call, then one
+    `integers(0, sentences, size=sentences_per_bag)` call per document in
+    batch order."""
+    chosen = rng.choice(len(documents), size=batch_size, replace=False)
+    batch = []
+    for raw in chosen:
+        doc = documents[int(raw)]
+        picks = rng.integers(0, doc.sentence_observations.shape[0],
+                             size=sentences_per_bag)
+        batch.append((doc, doc.sentence_observations[picks]))
+    return batch
 
 
 def canonical_json(obj) -> str:

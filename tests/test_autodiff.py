@@ -1,6 +1,7 @@
 """Reverse-mode engine: hand-derived gradients, broadcasting, and the
 finite-difference harness itself."""
 
+import math
 import warnings
 
 import numpy as np
@@ -328,3 +329,96 @@ def test_backward_keeps_only_root_and_leaf_gradients():
     assert y.grad == 1.0
     t = np.tanh(x.value)
     assert np.array_equal(x.grad, (t + t) * (1.0 - t * t) + scale)
+
+
+def one_hot_softmax(x, columns, gamma):
+    """softmax(matmul(x, onehot)) as two tape nodes: the form that
+    `softmax_columns` must equal bit for bit. Returns (weights, pick)."""
+    k = x.value.shape[2]
+    onehot = np.arange(k)[None, :, None] == columns[:, None, :]
+    pick = ad.matmul(x, onehot.astype(np.float64))
+    return ad.softmax(pick, gamma, axis=1), pick
+
+
+def softmax_columns_cases():
+    rng = np.random.default_rng(31)
+    # ties in the cosine cube: argmax keeps the first maximal region; more
+    # than 8 regions, where a sum along the last axis would pair its terms
+    cube = rng.integers(-2, 3, size=(4, 16, 9)) / 2.0
+    yield "ties", rng.standard_normal((4, 16, 16)), np.argmax(cube, axis=1), math.e
+    yield "gamma 0", rng.standard_normal((3, 5, 5)), rng.integers(0, 5, (3, 7)), 0.0
+    # large grams at gamma e: most weights underflow, some to subnormals
+    large = 100.0 * rng.standard_normal((3, 8, 8))
+    large[:, :4, :] = np.array([0.0, -260.0, -272.0, -274.0])[None, :, None]
+    yield "large", large, rng.integers(0, 8, (3, 12)), math.e
+    yield "N = 1", rng.standard_normal((3, 1, 1)), np.zeros((3, 4), dtype=int), 2.0
+    # one column over more than 8 regions: numpy sums a lone column's
+    # contiguous terms pairwise
+    yield "one column", rng.standard_normal((2, 16, 16)), np.array([[3], [0]]), 1.5
+    yield "one image, one column", rng.standard_normal((1, 12, 12)), np.array([[11]]), 1.5
+
+
+def test_softmax_columns_is_the_one_hot_pick_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for name, gram, columns, gamma in softmax_columns_cases():
+        out = ad.softmax_columns(Var(gram), columns, gamma)
+        want, pick = one_hot_softmax(Var(gram), columns, gamma)
+        assert out.value.flags.c_contiguous, name
+        assert np.array_equal(out.value, want.value), name
+        g = rng.standard_normal(out.value.shape)
+        got_cot, = out._vjp(g)
+        want_cot = pick._vjp(want._vjp(g)[0])[0]
+        assert np.array_equal(got_cot, want_cot), name
+        if name == "large":
+            w = out.value
+            assert np.any(w == 0.0)
+            assert np.any((w > 0.0) & (w < np.finfo(np.float64).tiny))
+
+
+def test_softmax_columns_checks_its_operands():
+    with pytest.raises(ContractError):
+        ad.softmax_columns(Var(np.ones((2, 3))), np.zeros((2, 1), dtype=int))
+    with pytest.raises(ContractError):
+        ad.softmax_columns(Var(np.ones((2, 3, 3))), np.zeros((3, 1), dtype=int))
+    with pytest.raises(ContractError, match="empty"):
+        ad.softmax_columns(Var(np.ones((2, 3, 3))), np.zeros((2, 0), dtype=int))
+    with pytest.raises(ContractError, match="finite"):
+        ad.softmax_columns(Var(np.ones((2, 3, 3))), np.zeros((2, 1), dtype=int),
+                           np.inf)
+
+
+FIELDS = ((0, 6, (2, 3)), (6, 10, (4,)), (10, 11, ()), (11, 20, (3, 3)))
+
+
+def test_slice_reshape_is_getitem_then_reshape_bit_for_bit():
+    rng = np.random.default_rng(33)
+    flat = rng.standard_normal(20)
+    cotangents = [rng.standard_normal(shape) for _, _, shape in FIELDS]
+    cotangents[0][0, 1] = -0.0
+    cotangents[2] = np.asarray(-0.0)
+    grads = []
+    for fused in (True, False):
+        leaf = Var(flat)
+        terms = []
+        for (start, stop, shape), g in zip(FIELDS, cotangents):
+            if fused:
+                field = ad.slice_reshape(leaf, start, stop, shape)
+            else:
+                field = ad.reshape(ad.getitem(leaf, slice(start, stop)), shape)
+            assert field.value.shape == shape
+            assert np.array_equal(field.value, flat[start:stop].reshape(shape))
+            terms.append(ad.vsum(ad.mul(field, g)))
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        total.backward()
+        grads.append(leaf.grad.tobytes())
+    assert grads[0] == grads[1]
+    for (start, stop, shape), g in zip(FIELDS, cotangents):
+        leaf = Var(flat)
+        fused, = ad.slice_reshape(leaf, start, stop, shape)._vjp(g)
+        pick = ad.getitem(leaf, slice(start, stop))
+        plain, = pick._vjp(ad.reshape(pick, shape)._vjp(g)[0])
+        assert fused.tobytes() == plain.tobytes()
+    with pytest.raises(ContractError):
+        ad.slice_reshape(Var(np.ones((2, 2))), 0, 1, (1,))

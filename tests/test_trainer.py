@@ -15,6 +15,7 @@ from milalign.aggregators import (
     LocalAggregatorSpec,
     bind_global_spec,
 )
+from milalign.config import experiment_from_dict
 from milalign.encoders import (
     ModelConfig,
     init_model,
@@ -177,6 +178,43 @@ def test_sample_batch_requires_enough_documents():
         sample_batch(corpus, config, np.random.default_rng(0))
 
 
+def hand_documents(sentence_counts, seed=0):
+    rng = np.random.default_rng(seed)
+    return [SyntheticDocument(
+                image_id=100 + i,
+                region_observations=rng.standard_normal((8, 6)),
+                region_concepts=[None] * 8,
+                sentence_observations=rng.standard_normal((m, 6)),
+                sentence_concepts=list(range(m)),
+                boxes=[(0, 1)] * m)
+            for i, m in enumerate(sentence_counts)]
+
+
+@pytest.mark.parametrize("sentences_per_bag", [1, 7])
+def test_sample_batch_draws_what_one_call_per_document_draws(sentences_per_bag):
+    docs = hand_documents([1, 2, 3] * 5)
+    config = tiny_config(batch_size=8, sentences_per_bag=sentences_per_bag)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        for _ in range(4):  # successive batches continue the same stream
+            batch = sample_batch(docs, config, rng)
+            want = oracles.sample_batch_per_document(
+                docs, config.batch_size, sentences_per_bag, ref_rng)
+            assert [item.document for item in batch] == [d for d, _ in want]
+            for item, (_, bag) in zip(batch, want):
+                assert item.sentence_bag.shape == (sentences_per_bag, 6)
+                assert item.sentence_bag.tobytes() == bag.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_batch_names_a_document_without_sentences():
+    docs = hand_documents([2, 3, 0, 1])
+    config = tiny_config(batch_size=4)
+    with pytest.raises(ContractError, match="document 102 has no sentences"):
+        sample_batch(docs, config, np.random.default_rng(0))
+
+
 def test_adamw_first_step_frozen_oracle():
     # p=1, g=0.5, lr=0.1, betas (0.9, 0.999), eps 1e-8, wd 0.01:
     # m_hat=0.5, v_hat=0.25, update = lr * (0.5/(0.5+1e-8) + 0.01 * p)
@@ -300,6 +338,39 @@ def test_tape_size_does_not_depend_on_batch_size():
             leaf = Var(init_model(config.model, config.gamma_init, 0))
             counts.append(len(_toposort(batch_loss(config, leaf, batch))))
         assert counts[0] == counts[1], (entry.name, counts)
+
+
+# tape nodes of one batch_loss per default_grid() row, constants included,
+# as the benchmark's layer trace counts them: one node per parameter
+# field, and one for NL's weights
+TAPE_NODES = {
+    "Max": 44, "Avg": 44, "LSE": 44, "NOR": 54, "NAND": 61,
+    "g-Avg": 45, "g-Att": 55, "g-NL": 54,
+    "LSE+Avg": 61, "LSE+Att": 71, "LSE+NL": 70,
+}
+
+
+def test_tape_size_of_one_batch_loss_is_pinned():
+    corpus = tiny_corpus()
+    got = {}
+    for entry in default_grid():
+        kind = entry.global_agg.kind if entry.global_agg else None
+        config = tiny_config(
+            model=dataclasses.replace(tiny_config().model,
+                                      use_nl=kind == "NL",
+                                      use_att=kind == "Att"),
+            local_agg=entry.local_agg, global_agg=entry.global_agg)
+        batch = sample_batch(corpus, config, np.random.default_rng(0))
+        leaf = Var(init_model(config.model, config.gamma_init, 0))
+        got[entry.name] = len(_toposort(batch_loss(config, leaf, batch)))
+    assert got == TAPE_NODES
+    # the default experiment's own step is LSE+NL
+    default = experiment_from_dict({"corpus": {"documents": 40}})
+    batch = sample_batch(generate_corpus(default.corpus), default.train,
+                         np.random.default_rng(0))
+    leaf = Var(init_model(default.train.model, default.train.gamma_init, 0))
+    assert len(_toposort(batch_loss(default.train, leaf, batch))) == \
+        TAPE_NODES["LSE+NL"]
 
 
 # sha256 prefixes of leaf.grad's bytes for each default_grid() row on one
