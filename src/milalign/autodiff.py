@@ -2,7 +2,10 @@
 
 Every operation computes its forward value eagerly and records a rule
 mapping the output cotangent back to input cotangents; `Var.backward`
-replays the rules in reverse topological order. Only what a gradient
+replays the rules in reverse topological order. A tape is swept once:
+the sweep drops each rule and its parent links as soon as the rule has
+run, so the forward values it read are freed during the sweep rather
+than when the caller lets go of the root. Only what a gradient
 needs is recorded: a `Var` built directly is a leaf that takes gradients,
 `as_var` of a plain value is a constant, and an operation whose inputs
 are all constants returns a constant with no parents and no rule, so an
@@ -36,7 +39,8 @@ class Var:
 
     `requires_grad` is False only for constants (see `as_var`)."""
 
-    __slots__ = ("value", "_parents", "_vjp", "grad", "requires_grad")
+    __slots__ = ("value", "_parents", "_vjp", "grad", "requires_grad",
+                 "__weakref__")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = _value(value)
@@ -48,22 +52,34 @@ class Var:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into `.grad` for every leaf feeding self.
 
-        An interior node's cotangent is released as soon as its rule has
-        passed it on, so after the sweep only self and the leaves hold a
-        `.grad`; constants hold none."""
+        The sweep consumes the tape: each node leaves the topological order
+        as its turn comes, and its rule and parent links are dropped once
+        the rule has passed its cotangent on, so a forward value is freed
+        when the last rule that reads it has run. After the sweep self
+        keeps its `.value` and `.grad`, the leaves keep their `.grad`,
+        interior nodes keep their `.value` only, and constants hold no
+        `.grad`. A tape is swept once: a second `backward` through any
+        swept node is a ContractError."""
         if self.value.ndim != 0:
             raise ContractError("backward requires a scalar output")
         order = _toposort(self)
         for node in order:
+            if node._vjp is _swept:
+                raise ContractError("backward through a tape that was "
+                                    "already swept; a tape is swept once")
             node.grad = None
         self.grad = np.ones(())
-        for node in reversed(order):
-            if node._vjp is None or node.grad is None:
+        while order:
+            node = order.pop()
+            vjp, parents = node._vjp, node._parents
+            if vjp is None:
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None:
-                    continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+            node._vjp, node._parents = _swept, ()
+            if node.grad is not None:
+                for parent, g in zip(parents, vjp(node.grad)):
+                    if g is None:
+                        continue
+                    parent.grad = g if parent.grad is None else parent.grad + g
             if node is not self:
                 node.grad = None
 
@@ -72,6 +88,11 @@ class Var:
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
+
+
+def _swept(g):
+    """The rule a node holds once `backward` has swept it."""
+    raise ContractError("this node's tape was already swept")
 
 
 def as_var(x) -> Var:
@@ -185,10 +206,20 @@ _logistic_each = np.frompyfunc(_logistic, 1, 1)
 def expit(x) -> np.ndarray:
     """Elementwise 1 / (1 + exp(-x)) with the C library's `exp` (through
     `math.exp`), so the values do not depend on numpy's vectorized `exp`;
-    0.0 where exp(-x) overflows. The overflow flag that `exp` raises there
-    is not a warning."""
-    with np.errstate(over="ignore"):
-        return np.asarray(_logistic_each(_value(x)), dtype=np.float64)
+    0.0 where exp(-x) overflows. The exponentials come from one `map` of
+    `math.exp` and the rest is one numpy expression with the same IEEE
+    operations; an array where some exp(-x) overflows takes the
+    per-element path. The overflow flag that `exp` raises there is not a
+    warning."""
+    val = _value(x)
+    try:
+        e = np.fromiter(map(math.exp, (-val).ravel().tolist()),
+                        dtype=np.float64, count=val.size)
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return np.asarray(_logistic_each(val), dtype=np.float64)
+    e += 1.0
+    return np.divide(1.0, e, out=e).reshape(val.shape)
 
 
 def sigmoid(x):
@@ -291,7 +322,10 @@ def vmax(x, axis=None) -> Var:
 
 def vprod(x, axis: int) -> Var:
     """Product along one axis; backward uses exclusive prefix/suffix products
-    so it stays exact when factors are zero."""
+    so it stays exact when factors are zero. The backward fills two
+    buffers laid out like x: the prefix products, and the suffix products
+    accumulated from the far end; it multiplies the first in place by the
+    second and then by the cotangent."""
     xv = as_var(x)
     val = xv.value
     if val.size == 0:
@@ -300,13 +334,15 @@ def vprod(x, axis: int) -> Var:
 
     def vjp(g):
         v = np.moveaxis(val, axis, -1)
-        ones = np.ones(v.shape[:-1] + (1,))
-        cp = np.cumprod(v, axis=-1)
-        prefix = np.concatenate([ones, cp[..., :-1]], axis=-1)
-        rq = np.cumprod(v[..., ::-1], axis=-1)[..., ::-1]
-        suffix = np.concatenate([rq[..., 1:], ones], axis=-1)
-        others = np.moveaxis(prefix * suffix, -1, axis)
-        return (others * _expand_reduced(g, val.shape, axis),)
+        prefix = np.empty_like(v)
+        prefix[..., 0] = 1.0
+        np.cumprod(v[..., :-1], axis=-1, out=prefix[..., 1:])
+        suffix = np.empty_like(v)
+        suffix[..., -1] = 1.0
+        np.cumprod(v[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
+        prefix *= suffix
+        prefix *= np.moveaxis(_expand_reduced(g, val.shape, axis), axis, -1)
+        return (np.moveaxis(prefix, -1, axis),)
 
     return _node(out, (xv,), vjp)
 

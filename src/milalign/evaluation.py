@@ -32,12 +32,13 @@ prompt a one-sentence document; grounding and retrieval take their
 cosines from the values of `scoring.unit_rows`, as the score table does,
 and grounding encodes the sentences of each block's cases with it.
 Grounding reduces its (cases, N) score maps with masked array
-expressions. mIoU gives each score the number of thresholds it reaches
-and counts those levels per case, so no (cases, thresholds, N) array is
-built. The one-map functions `cnr`, `miou` and `grounding_hit` are
-one-row calls of the same expressions. Retrieval builds its cosine table
-a block of rows at a time, in each direction, and ranks each row's own
-entry in one comparison pass over its block.
+expressions, GROUNDING_BLOCK_CASES maps at a time. mIoU gives each score
+the number of thresholds it reaches and counts those levels per case, so
+no (cases, thresholds, N) array is built. The one-map functions `cnr`,
+`miou` and `grounding_hit` are one-row calls of the same expressions.
+Retrieval builds its cosine table a block of rows at a time, in each
+direction, and ranks each row's own entry in one comparison pass over
+its block.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ EVAL_BLOCK_BAGS = 256
 # Cases `grounding_score_maps` scores and `retrieval_features` sums at a
 # time within a block of bags; their gathered regions are
 # (GROUNDING_BLOCK_CASES, N, D) rather than (the block's cases, N, D).
+# `evaluate_grounding` reduces its score maps to metrics as many cases at
+# a time.
 GROUNDING_BLOCK_CASES = 512
 
 
@@ -603,11 +606,21 @@ class GroundingSummary:
 
 
 def evaluate_grounding(params: ModelParams, cases) -> GroundingSummary:
+    """Per-case CNR, mIoU and hit of the cases' score maps, reduced
+    GROUNDING_BLOCK_CASES maps at a time so that the metrics' temporaries
+    are a block's rather than every case's. Each metric is a row-by-row
+    expression, so the values are the same bits at any block size; the
+    means run over the whole per-case arrays."""
     maps = grounding_score_maps(params, cases)
     masks = box_masks(maps.shape[1], [case.box for case in cases])
-    cnrs = cnr_rows(maps, masks)
-    mious = miou_rows(maps, masks)
-    hits = hit_rows(maps, masks)
+    cnrs = np.empty(len(cases))
+    mious = np.empty(len(cases))
+    hits = np.empty(len(cases), dtype=bool)
+    for start in range(0, len(cases), GROUNDING_BLOCK_CASES):
+        block = slice(start, start + GROUNDING_BLOCK_CASES)
+        cnrs[block] = cnr_rows(maps[block], masks[block])
+        mious[block] = miou_rows(maps[block], masks[block])
+        hits[block] = hit_rows(maps[block], masks[block])
     return GroundingSummary(
         per_case_cnr=cnrs, per_case_miou=mious, per_case_hit=hits,
         mean_cnr=float(cnrs.mean()), mean_miou=float(mious.mean()),

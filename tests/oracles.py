@@ -12,6 +12,10 @@ expressions, one `autodiff.softmax` per iteration and every temporary
 fresh: the form the in-place descent in `evaluation.linear_probe_stack`
 must reproduce bit for bit.
 
+`vprod_cotangent` is the product rule as whole-array expressions, its
+prefix and suffix products concatenated from cumulative products: the
+values `autodiff.vprod`'s in-place backward must reproduce bit for bit.
+
 `sample_batch_per_document` draws a batch's sentence bags with one
 `integers` call per document: the draws that `trainer.sample_batch`
 must reproduce from its one call, value for value and generator state
@@ -221,6 +225,19 @@ def linear_probe_descent(train_features, train_labels, classes, iterations,
         weights -= lr * (delta.transpose(0, 2, 1) @ x)
         bias -= lr * delta.sum(axis=1, keepdims=True)
     return weights, bias[:, 0]
+
+
+def vprod_cotangent(x, g, axis):
+    """Cotangent of prod(x, axis) under the output cotangent g: each entry
+    times the product of the entries before it and of those after it
+    along the axis."""
+    v = np.moveaxis(np.asarray(x, dtype=np.float64), axis, -1)
+    ones = np.ones(v.shape[:-1] + (1,))
+    prefix = np.concatenate([ones, np.cumprod(v, axis=-1)[..., :-1]], axis=-1)
+    rq = np.cumprod(v[..., ::-1], axis=-1)[..., ::-1]
+    suffix = np.concatenate([rq[..., 1:], ones], axis=-1)
+    others = np.moveaxis(prefix * suffix, -1, axis)
+    return others * np.expand_dims(np.asarray(g, dtype=np.float64), axis)
 
 
 def sample_batch_per_document(documents, batch_size, sentences_per_bag, rng):

@@ -3,6 +3,7 @@ finite-difference harness itself."""
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -150,6 +151,20 @@ def test_vprod_handles_zero_entries():
     assert p.value == 0.0
     # d/dx1 of x0*x1*x2 at (2, 0, 3) is 6; the others are 0
     assert np.allclose(x.grad, [0.0, 6.0, 0.0])
+
+
+def test_vprod_cotangent_is_the_concatenated_form_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for shape in [(1,), (2,), (5,), (3, 1), (2, 3), (4, 2, 6), (6, 16, 3)]:
+        for axis in range(len(shape)):
+            x = rng.uniform(-1.0, 1.0, shape)
+            x[rng.random(shape) < 0.25] = 0.0
+            x.flat[0] = 0.0
+            g = rng.standard_normal(np.prod(x, axis=axis).shape)
+            got, = ad.vprod(Var(x), axis)._vjp(g)
+            want = oracles.vprod_cotangent(x, g, axis)
+            assert got.shape == x.shape and np.array_equal(got, want), \
+                (shape, axis)
 
 
 def test_logsumexp_is_shift_stable():
@@ -329,6 +344,35 @@ def test_backward_keeps_only_root_and_leaf_gradients():
     assert y.grad == 1.0
     t = np.tanh(x.value)
     assert np.array_equal(x.grad, (t + t) * (1.0 - t * t) + scale)
+
+
+def test_backward_frees_the_tape_it_sweeps():
+    rng = np.random.default_rng(24)
+    x = Var(rng.standard_normal(5))
+    h = ad.tanh(x)
+    interior = weakref.ref(h)
+    y = ad.vsum(ad.mul(h, h))
+    del h
+    assert interior() is not None  # y's tape holds it until the sweep
+    y.backward()
+    assert interior() is None
+    t = np.tanh(x.value)
+    assert np.array_equal(x.grad, (t + t) * (1.0 - t * t))
+    assert y.value == np.sum(t * t) and y.grad == 1.0
+
+
+def test_a_tape_is_swept_once():
+    x = Var(np.asarray([1.0, 2.0]))
+    h = ad.mul(x, x)
+    y = ad.vsum(h)
+    y.backward()
+    with pytest.raises(ContractError, match="swept"):
+        y.backward()
+    assert np.array_equal(x.grad, [2.0, 4.0]) and y.grad == 1.0
+    # a root that reaches the swept tape through a kept interior node
+    with pytest.raises(ContractError, match="swept"):
+        ad.vsum(ad.add(h, x)).backward()
+    assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 def one_hot_softmax(x, columns, gamma):

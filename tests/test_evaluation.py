@@ -619,6 +619,29 @@ def test_grounding_maps_do_not_depend_on_the_block_size(monkeypatch):
         assert np.array_equal(grounding_score_maps(params, cases), whole)
 
 
+def test_grounding_metrics_do_not_depend_on_the_block_size(monkeypatch):
+    # the metrics of every case at once, as whole-array expressions, against
+    # evaluate_grounding's block-by-block arrays
+    corpus = tiny_corpus(documents=40)
+    _, params = tiny_params(seed=4)
+    cases = grounding_cases(corpus.documents)
+    maps = grounding_score_maps(params, cases)
+    masks = box_masks(maps.shape[1], [case.box for case in cases])
+    want = (cnr_rows(maps, masks), miou_rows(maps, masks),
+            hit_rows(maps, masks))
+    assert len(cases) % 7
+    for block in (1, 7, len(cases) + 5):
+        monkeypatch.setattr(evaluation, "GROUNDING_BLOCK_CASES", block)
+        summary = evaluate_grounding(params, cases)
+        got = (summary.per_case_cnr, summary.per_case_miou,
+               summary.per_case_hit)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert summary.mean_cnr == float(want[0].mean())
+        assert summary.mean_miou == float(want[1].mean())
+        assert summary.hit_rate == float(want[2].mean())
+
+
 # ---------------------------------------------------------------------------
 # retrieval
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from memory import traced_call
 from milalign.autodiff import ContractError, Var, _toposort
 from milalign.aggregators import (
     GlobalAggregatorSpec,
@@ -450,6 +451,20 @@ def test_training_is_deterministic():
     b = train(corpus, config)
     assert np.array_equal(a.params_flat, b.params_flat)
     assert a.log_rows == b.log_rows
+
+
+def test_training_holds_one_step_tape_at_a_time():
+    # each step's sweep frees its own tape, so a step's forward values
+    # are gone before the next step builds its own: four steps peak where
+    # one does
+    default = experiment_from_dict({"corpus": {"documents": 600}})
+    corpus = generate_corpus(default.corpus)
+    peaks = {}
+    for steps in (1, 4):
+        result, _, peaks[steps] = traced_call(train, corpus, default.train,
+                                              max_steps=steps)
+        assert result.step == steps
+    assert peaks[4] <= 1.1 * peaks[1], peaks
 
 
 def test_zero_epochs_returns_initial_parameters():
