@@ -14,8 +14,11 @@ operation set is exactly what the scoring and training pipeline needs;
 `matmul` and `transpose` also take (B, ., .) stacks, so a batch of
 per-image matrix products is one tape node rather than a loop of them.
 Values are plain numpy arrays (scalars are 0-d), reductions keep numpy's
-fixed evaluation order, and nothing here mutates a stored value, so
-repeated runs on the same inputs are bit-identical.
+fixed evaluation order, and nothing here mutates a node's `.value`, so
+repeated runs on the same inputs are bit-identical. A swept tape runs
+each rule once, so a rule may consume the arrays it saved for itself
+(`logsumexp` scales its weights into the cotangent in place), but never
+an array that is some node's `.value`.
 """
 
 from __future__ import annotations
@@ -357,13 +360,17 @@ def logsumexp(x, scale: float = 1.0, axis=None) -> Var:
     if val.size == 0:
         raise ContractError("logsumexp of an empty array")
     m = np.max(val, axis=axis, keepdims=True)
-    e = np.exp(gamma * (val - m))
-    s = np.sum(e, axis=axis, keepdims=True)
+    # the weights exp(gamma * (x - m)) / s, built in one buffer that only
+    # the rule holds; the rule runs once, so it scales them in place
+    w = np.subtract(val, m, out=np.empty_like(val))
+    w *= gamma
+    np.exp(w, out=w)
+    s = np.sum(w, axis=axis, keepdims=True)
     out = np.squeeze(m + np.log(s) / gamma, axis=axis)
-    w = e / s
+    w /= s
 
     def vjp(g):
-        return (w * _expand_reduced(g, val.shape, axis),)
+        return (np.multiply(w, _expand_reduced(g, val.shape, axis), out=w),)
 
     return _node(out, (xv,), vjp)
 

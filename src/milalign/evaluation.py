@@ -25,20 +25,24 @@ Each task streams the region bags of its distinct documents through the
 region encoder EVAL_BLOCK_BAGS bags at a time: one `encode_bag` call per
 block, whose features the task uses before the next block is encoded, so
 evaluation holds one block of encoded regions rather than the split's.
-Rows never mix in the encoder, so every value is the same bits at any
-block size. Zero-shot scores come from the training score table,
-`scoring.pairwise_score_tables`, one block of images at a time, with each
-prompt a one-sentence document; grounding and retrieval take their
-cosines from the values of `scoring.unit_rows`, as the score table does,
-and grounding encodes the sentences of each block's cases with it.
+Rows never mix in the encoder, but a row's bits depend on how many rows
+its call holds: at the default widths (hidden 32, embed 16) a call of 1
+to 75 rows rounds differently from the same rows in a larger call. The
+values are those of EVAL_BLOCK_BAGS-document blocks, and another block
+size can move their last bits. Zero-shot scores come from the training
+score table, `scoring.pairwise_score_tables`, one block of images at a
+time, with each prompt a one-sentence document; grounding and retrieval
+take their cosines from the values of `scoring.unit_rows`, as the score
+table does, and grounding encodes the sentences of each block's cases
+with it.
 Grounding reduces its (cases, N) score maps with masked array
 expressions, GROUNDING_BLOCK_CASES maps at a time. mIoU gives each score
 the number of thresholds it reaches and counts those levels per case, so
 no (cases, thresholds, N) array is built. The one-map functions `cnr`,
 `miou` and `grounding_hit` are one-row calls of the same expressions.
-Retrieval builds its cosine table a block of rows at a time, in each
-direction, and ranks each row's own entry in one comparison pass over
-its block.
+Retrieval builds its cosine table RANK_BLOCK_ROWS rows at a time, in
+each direction, every block a product of that many query rows, and
+ranks each row's own entry in one comparison pass over its block.
 """
 
 from __future__ import annotations
@@ -67,8 +71,9 @@ from .trainer import NonFiniteLossError, TrainConfig, train
 VARIANCE_GUARD = 1e-8
 IOU_THRESHOLDS = np.arange(-20, 21) * 5 / 100.0  # -1.00 .. 1.00 in 0.05 steps
 # Query rows `rank_of_match` and `cosine_match_ranks` compare at a time;
-# their temporaries are (RANK_BLOCK_ROWS, q) rather than (q, q).
-RANK_BLOCK_ROWS = 256
+# their temporaries are (RANK_BLOCK_ROWS, q) rather than (q, q), 0.77 MB
+# of float64 at q = 3,000.
+RANK_BLOCK_ROWS = 32
 # Distinct region bags each task encodes per `encode_bag` call; the
 # encoder's temporaries are (EVAL_BLOCK_BAGS * N, hidden) rather than
 # (bags * N, hidden).
@@ -87,10 +92,12 @@ GROUNDING_BLOCK_CASES = 512
 
 def _encode(encoder, observations) -> np.ndarray:
     """Encode a (count, D_in) bag, or a (bags, count, D_in) stack of
-    equal-size bags, in one `encode_bag` call. Rows never mix, so each row
-    gets the same bits in any call: numpy multiplies a one-row matrix with
-    a matrix-vector kernel, whose sums can round differently, so a lone
-    row is encoded beside a copy of itself."""
+    equal-size bags, in one `encode_bag` call. Rows never mix, and a row's
+    bits do not depend on its place in the call, but they do depend on
+    the call's row count: at the default widths a call of 1 to 75 rows
+    rounds differently from a larger one. A lone row is encoded beside a
+    copy of itself, so that no call goes through numpy's matrix-vector
+    kernel."""
     obs = np.asarray(observations)
     flat = obs.reshape(-1, obs.shape[2]) if obs.ndim == 3 else obs
     if flat.ndim == 2 and flat.shape[0] == 1:
@@ -413,7 +420,7 @@ def probe_eval(params: ModelParams, train_docs, test_docs) -> ProbeResult:
 # visual grounding
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GroundingCase:
     image_id: int
     sentence_index: int
@@ -691,13 +698,13 @@ def _ranks_by_block(q: int, rows) -> np.ndarray:
     `rows(start, stop)` returns, RANK_BLOCK_ROWS rows at a time, under
     descending-score order, ties broken by candidate index ascending.
 
-    A block is (RANK_BLOCK_ROWS, q) float64, 6.1 MB at q = 3,000. No name
-    holds it past its `_own_ranks` call, so each block is freed before
-    the next one is built."""
+    A block is (RANK_BLOCK_ROWS, q) float64, 0.77 MB at q = 3,000. No
+    name holds it past its `_own_ranks` call, so each block is freed
+    before the next one is built."""
     ranks = np.empty(q, dtype=np.int64)
     for start in range(0, q, RANK_BLOCK_ROWS):
         ranks[start:start + RANK_BLOCK_ROWS] = _own_ranks(
-            rows(start, start + RANK_BLOCK_ROWS), start)
+            rows(start, min(start + RANK_BLOCK_ROWS, q)), start)
     return ranks
 
 
@@ -731,15 +738,26 @@ def cosine_match_ranks(queries: np.ndarray, candidates: np.ndarray) -> np.ndarra
     """`rank_of_match` of the cosine table between paired query and
     candidate rows, built RANK_BLOCK_ROWS query rows at a time so that no
     (q, q) table is held. Each side is normalized once; each block is
-    clipped in place."""
+    clipped in place.
+
+    Every block is the product of exactly RANK_BLOCK_ROWS query rows: the
+    last one is padded with copies of its last row, and only its real
+    rows are ranked. A product's bits depend on its height: numpy
+    multiplies a one-row block as a matrix-vector product, and for
+    q >= 193 that is not a multiple of 8, BLAS rounds the last q mod 8
+    columns differently in blocks of different heights. With one height,
+    a row's cosines never depend on how many rows its block holds."""
     if len(queries) != len(candidates):
         raise ContractError("retrieval needs one candidate per query")
     unit_queries = unit_rows(queries).value
     unit_candidates = unit_rows(candidates).value
+    last = len(queries) - 1
 
     def rows(start, stop):
-        block = unit_queries[start:stop] @ unit_candidates.T
-        return np.clip(block, -1.0, 1.0, out=block)
+        taken = np.minimum(np.arange(start, start + RANK_BLOCK_ROWS), last)
+        block = unit_queries[taken] @ unit_candidates.T
+        np.clip(block, -1.0, 1.0, out=block)
+        return block[:stop - start]
 
     return _ranks_by_block(len(queries), rows)
 

@@ -120,7 +120,7 @@ class ConceptBank:
         return self.region_prototypes.shape[0]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SyntheticDocument:
     image_id: int
     region_observations: np.ndarray   # (N, region_dim)

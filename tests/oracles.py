@@ -240,6 +240,21 @@ def vprod_cotangent(x, g, axis):
     return others * np.expand_dims(np.asarray(g, dtype=np.float64), axis)
 
 
+def logsumexp(x, gamma, axis, g):
+    """(value, cotangent under g) of (1/gamma) log sum exp(gamma x) over
+    `axis`, in the textbook form: weights exp(gamma * (x - m)) / s, each
+    step its own array."""
+    x = np.asarray(x, dtype=np.float64)
+    m = np.max(x, axis=axis, keepdims=True)
+    e = np.exp(gamma * (x - m))
+    s = np.sum(e, axis=axis, keepdims=True)
+    value = np.squeeze(m + np.log(s) / gamma, axis=axis)
+    g = np.asarray(g, dtype=np.float64)
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    return value, (e / s) * np.broadcast_to(g, x.shape)
+
+
 def sample_batch_per_document(documents, batch_size, sentences_per_bag, rng):
     """(document, sentence bag) per batch slot: `batch_size` distinct
     documents from one `choice` call, then one

@@ -167,6 +167,24 @@ def test_vprod_cotangent_is_the_concatenated_form_bit_for_bit():
                 (shape, axis)
 
 
+def test_logsumexp_is_the_textbook_form_bit_for_bit():
+    # the weights are built and scaled into the cotangent in one buffer;
+    # the operations and their operand order are the textbook form's
+    rng = np.random.default_rng(6)
+    x = 3.0 * rng.standard_normal((4, 6, 5))
+    for data in (x, x.transpose(2, 0, 1)):
+        for axis in (None, 0, 1, 2):
+            for gamma in (0.1, 1.0, math.e):
+                leaf = Var(data)
+                out = ad.logsumexp(leaf, gamma, axis=axis)
+                g = rng.standard_normal(out.value.shape)
+                want, want_cot = oracles.logsumexp(data, gamma, axis, g)
+                assert np.array_equal(out.value, want), (axis, gamma)
+                got_cot, = out._vjp(g)
+                assert np.array_equal(got_cot, want_cot), (axis, gamma)
+                assert np.array_equal(leaf.value, data)
+
+
 def test_logsumexp_is_shift_stable():
     big = Var(np.asarray([1000.0, 1000.0]))
     out = ad.logsumexp(big, 1.0, axis=0)

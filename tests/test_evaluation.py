@@ -377,6 +377,16 @@ def test_grounding_case_validation():
         GroundingCase(1, 0, obs, sent, (0, 1, 2, 3))
 
 
+def test_documents_and_cases_are_slotted_records():
+    # an evaluation holds thousands of each, so neither keeps a dict
+    doc = tiny_corpus(documents=2).documents[0]
+    case = grounding_cases([doc])[0]
+    for record in (doc, case):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.note = "not a field"
+
+
 def test_grounding_cases_expand_documents():
     corpus = tiny_corpus(documents=40)
     cases = grounding_cases(corpus.documents)
@@ -719,13 +729,47 @@ def test_ranks_with_ties_match_double_loop_at_any_block_size(monkeypatch,
 
 
 def test_cosine_ranks_hold_one_rank_block_at_a_time():
-    # each (RANK_BLOCK_ROWS, q) block is freed before the next is built
+    # each (RANK_BLOCK_ROWS, q) block is freed before the next is built;
+    # beside it the call holds both sides' (q, 16) unit rows
     rng = np.random.default_rng(5)
     q = 3000
     boxes, sentences = rng.standard_normal((2, q, 16))
     block = evaluation.RANK_BLOCK_ROWS * q * 8
+    unit_copies = boxes.nbytes + sentences.nbytes
     _, _, peak = traced_call(evaluation.cosine_match_ranks, boxes, sentences)
-    assert peak < 1.5 * block
+    assert peak < 1.5 * (block + unit_copies)
+
+
+@pytest.mark.parametrize("q", [33, 1003, 3003])
+def test_cosine_ranks_come_from_full_height_products(monkeypatch, q):
+    # a lone last row would be a matrix-vector product, and for q >= 193
+    # that is not a multiple of 8 the last q mod 8 columns round by the
+    # block's height (at q = 1,003 an 11-row last block would differ), so
+    # each block, the last one too, must be a product of RANK_BLOCK_ROWS
+    # rows that starts at a multiple of RANK_BLOCK_ROWS
+    rng = np.random.default_rng(q)
+    boxes, sentences = rng.standard_normal((2, q, 16))
+    rows = evaluation.RANK_BLOCK_ROWS
+    unit_boxes = evaluation.unit_rows(boxes).value
+    unit_sentences = evaluation.unit_rows(sentences).value
+    padded = np.zeros((-(-q // rows) * rows, 16))
+    padded[:q] = unit_boxes
+    table = np.empty((len(padded), q))
+    for start in range(0, len(padded), rows):
+        table[start:start + rows] = padded[start:start + rows] @ unit_sentences.T
+    table = np.clip(table[:q], -1.0, 1.0, out=table[:q])
+    own_ranks = evaluation._own_ranks
+    starts = []
+
+    def checked(block, start):
+        assert np.array_equal(block, table[start:start + len(block)]), start
+        starts.append(start)
+        return own_ranks(block, start)
+
+    monkeypatch.setattr(evaluation, "_own_ranks", checked)
+    ranks = evaluation.cosine_match_ranks(boxes, sentences)
+    assert starts == list(range(0, q, rows))
+    assert np.array_equal(ranks, rank_of_match(table))
 
 
 def test_lower_median_convention():

@@ -741,6 +741,18 @@ def test_read_corpus_holds_less_than_the_file(tmp_path):
     assert peak < path.stat().st_size
 
 
+def test_a_default_corpus_holds_its_arrays_and_little_else():
+    # beside its two arrays' bytes, each document, a slotted record, holds
+    # under 1,100 bytes: its concept and box lists, the array headers and
+    # its share of a first call's one-off allocations (1,069 bytes in a
+    # fresh interpreter)
+    corpus, held, _ = traced_call(generate_corpus, CorpusSpec(documents=3000))
+    arrays = sum(doc.region_observations.nbytes
+                 + doc.sentence_observations.nbytes
+                 for doc in corpus.documents)
+    assert held < arrays + 1100 * len(corpus.documents)
+
+
 def test_generate_corpus_peaks_near_what_the_corpus_holds():
     # the arithmetic runs a block of documents at a time, so no temporary
     # spans the corpus: the peak stays near what the finished corpus holds
